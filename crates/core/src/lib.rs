@@ -194,3 +194,96 @@ impl From<rottnest_compress::CompressError> for RottnestError {
 
 /// Result alias.
 pub type Result<T> = std::result::Result<T, RottnestError>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rottnest_component::ComponentError;
+    use rottnest_format::FormatError;
+    use rottnest_lake::LakeError;
+    use rottnest_object_store::{cancelled_error, is_cancelled, StoreError};
+
+    #[test]
+    fn cancellation_is_classified_through_every_wrapping_layer() {
+        let cancelled = |e: RottnestError| e.store_fault().is_some_and(is_cancelled);
+        assert!(cancelled(RottnestError::Store(cancelled_error())));
+        assert!(cancelled(RottnestError::Format(FormatError::Store(
+            cancelled_error()
+        ))));
+        assert!(cancelled(RottnestError::Fm(
+            rottnest_fm::FmError::Component(ComponentError::Store(cancelled_error()))
+        )));
+        // A losing hedge lane that dies inside `load_dvs` surfaces here.
+        assert!(cancelled(RottnestError::Lake(LakeError::Store(
+            cancelled_error()
+        ))));
+        assert!(cancelled(RottnestError::Lake(LakeError::Format(
+            FormatError::Store(cancelled_error())
+        ))));
+        assert!(!cancelled(RottnestError::Store(StoreError::Transient(
+            "other"
+        ))));
+        assert!(!cancelled(RottnestError::BadQuery("no store".into())));
+    }
+
+    #[test]
+    fn nan_vector_query_returns_without_panicking() {
+        use rottnest_format::{ColumnData, DataType, Field, RecordBatch, Schema};
+        use rottnest_lake::{Table, TableConfig};
+
+        const DIM: u32 = 8;
+        let store = rottnest_object_store::MemoryStore::unmetered();
+        let schema = Schema::new(vec![Field::new(
+            "embedding",
+            DataType::VectorF32 { dim: DIM },
+        )]);
+        let table = Table::create(store.as_ref(), "t", &schema, TableConfig::default()).unwrap();
+        let append = |rows: u32| {
+            let vectors: Vec<Vec<f32>> = (0..rows)
+                .map(|i| (0..DIM).map(|d| ((i * 7 + d) % 13) as f32).collect())
+                .collect();
+            let column = ColumnData::from_vectors(DIM, vectors).unwrap();
+            let batch = RecordBatch::new(schema.clone(), vec![column]).unwrap();
+            table.append(&batch).unwrap();
+        };
+        append(300);
+        let config = RottnestConfig {
+            min_vector_rows: 100,
+            ivf: rottnest_ivfpq::IvfPqParams {
+                nlist: 8,
+                m: 4,
+                train_iters: 2,
+                seed: 1,
+            },
+            ..RottnestConfig::default()
+        };
+        let rot = Rottnest::new(store.as_ref(), "t-idx", config);
+        rot.index(&table, IndexKind::Vector { dim: DIM }, "embedding")
+            .unwrap()
+            .unwrap();
+        // A second, unindexed file: the brute-scan merge sees NaN scores too.
+        append(50);
+
+        let mut query = [1.0f32; DIM as usize];
+        query[2] = f32::NAN;
+        let params = rottnest_ivfpq::SearchParams {
+            k: 3,
+            nprobe: 4,
+            refine: 16,
+        };
+        let snap = table.snapshot().unwrap();
+        let out = rot.search(
+            &table,
+            &snap,
+            "embedding",
+            &Query::VectorNn {
+                query: &query,
+                params,
+            },
+        );
+        // Ok or a typed error are both acceptable; a panic is not.
+        if let Ok(out) = out {
+            assert!(out.matches.len() <= 3);
+        }
+    }
+}

@@ -109,25 +109,6 @@ impl HedgeOutcome {
     }
 }
 
-/// Whether `e` is (or wraps, through any index/format/component layer)
-/// the typed cancellation error a [`CancelStore`] raises — i.e. the
-/// expected way a losing hedge lane dies, not a real fault.
-fn error_is_cancelled(e: &RottnestError) -> bool {
-    use rottnest_component::ComponentError;
-    let store_err = match e {
-        RottnestError::Store(s) => Some(s),
-        RottnestError::Format(rottnest_format::FormatError::Store(s)) => Some(s),
-        RottnestError::Trie(rottnest_trie::TrieError::Component(ComponentError::Store(s)))
-        | RottnestError::Bloom(rottnest_bloom::BloomError::Component(ComponentError::Store(s)))
-        | RottnestError::Fm(rottnest_fm::FmError::Component(ComponentError::Store(s)))
-        | RottnestError::Ivf(rottnest_ivfpq::IvfError::Component(ComponentError::Store(s))) => {
-            Some(s)
-        }
-        _ => None,
-    };
-    store_err.is_some_and(is_cancelled)
-}
-
 /// Outcome of a `vacuum` call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VacuumReport {
@@ -456,7 +437,10 @@ impl<'a> Rottnest<'a> {
             Some(backup) => (primary, Some(backup)),
             None => (primary, None),
         };
-        let loser_cancelled = matches!(&loser, Some(Err(e)) if error_is_cancelled(e));
+        // The typed cancellation a `CancelStore` raises is the expected way
+        // a losing lane dies, not a real fault.
+        let loser_cancelled =
+            matches!(&loser, Some(Err(e)) if e.store_fault().is_some_and(is_cancelled));
         (
             winner,
             HedgeOutcome {
@@ -1230,8 +1214,7 @@ impl<'a> Rottnest<'a> {
         results.sort_by(|a, b| {
             a.score
                 .unwrap_or(f32::MAX)
-                .partial_cmp(&b.score.unwrap_or(f32::MAX))
-                .unwrap()
+                .total_cmp(&b.score.unwrap_or(f32::MAX))
                 .then_with(|| a.path.cmp(&b.path))
                 .then_with(|| a.row.cmp(&b.row))
         });
@@ -1344,7 +1327,7 @@ impl<'a> Rottnest<'a> {
             .zip(exact)
             .map(|(p, v)| (p, rottnest_ivfpq::l2_sq(qvec, &v)))
             .collect();
-        reranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        reranked.sort_by(|a, b| a.1.total_cmp(&b.1));
         results.extend(
             reranked
                 .iter()

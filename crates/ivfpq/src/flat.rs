@@ -16,7 +16,7 @@ pub fn flat_search(data: &[f32], dim: usize, query: &[f32], k: usize) -> Vec<(us
         let d = l2_sq(query, &data[i * dim..(i + 1) * dim]);
         if heap.len() < k {
             heap.push((i, d));
-            heap.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+            heap.sort_by(|a, b| a.1.total_cmp(&b.1));
         } else if let Some(last) = heap.last() {
             if d < last.1 {
                 heap.pop();

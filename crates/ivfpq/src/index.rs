@@ -357,7 +357,7 @@ impl<'a> IvfPqIndex<'a> {
                 )
             })
             .collect();
-        order.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        order.sort_by(|a, b| a.1.total_cmp(&b.1));
         let probed: Vec<usize> = order
             .iter()
             .take(params.nprobe.max(1))
@@ -378,7 +378,7 @@ impl<'a> IvfPqIndex<'a> {
                 candidates.push((posting, self.pq.adc_distance(&table, &code)));
             }
         }
-        candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
 
         if params.refine == 0 {
             candidates.truncate(params.k);
@@ -399,7 +399,7 @@ impl<'a> IvfPqIndex<'a> {
             .zip(exact)
             .map(|(p, v)| (p, l2_sq(query, &v)))
             .collect();
-        reranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        reranked.sort_by(|a, b| a.1.total_cmp(&b.1));
         reranked.truncate(params.k);
         Ok(reranked)
     }
@@ -720,6 +720,28 @@ mod tests {
             }
         )
         .is_err());
+    }
+
+    #[test]
+    fn nan_query_returns_without_panicking() {
+        // Every distance to a NaN query is NaN: the three sorts must still
+        // produce an order (any order) rather than unwrap a `None`.
+        let store = MemoryStore::unmetered();
+        let data = dataset(500, 8);
+        build(store.as_ref(), "v.idx", &data, 0);
+        let idx = IvfPqIndex::open(store.as_ref(), "v.idx").unwrap();
+        let fetch = exact_fetcher(&data);
+        let mut query = data[0..DIM].to_vec();
+        query[3] = f32::NAN;
+        for refine in [0, 20] {
+            let params = SearchParams {
+                k: 5,
+                nprobe: 4,
+                refine,
+            };
+            assert_eq!(idx.search(&query, params, &fetch).unwrap().len(), 5);
+        }
+        assert_eq!(flat_search(&data, DIM, &query, 5).len(), 5);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! flow is a scheduling class ([`QueryClass::Interactive`] vs
 //! [`QueryClass::Batch`]), optionally refined by tenant for tenants that
 //! carry an explicit weight in [`AdmissionConfig::tenant_weights`]. Every
-//! arrival is stamped with a virtual finish tag ([`virtual_finish_tag`])
+//! arrival is stamped with a virtual finish tag (`virtual_finish_tag`)
 //! on its flow's tag chain — advancing by `WFQ_SCALE / (class_weight ×
 //! tenant_weight)` per dispatch — and freed slots go to the queued waiter
 //! with the smallest tag (ties to earliest arrival). A flow with weight
@@ -25,11 +25,9 @@
 //! configured weight share their class's default flow, which preserves
 //! plain two-class WFQ exactly when `tenant_weights` is empty.
 //!
-//! The finish-time estimate that drives deadline shedding is a pure
-//! function ([`estimate_finish_ms`]) shared with the deterministic
-//! open-arrival simulator (`crate::sim`), as is the tag arithmetic —
-//! so the benchmark models exactly the policy the threaded controller
-//! enforces.
+//! The finish-time estimate that drives deadline shedding
+//! (`estimate_finish_ms`) and the tag arithmetic are pure functions of
+//! the queue state at arrival, so their unit tests pin the policy exactly.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,13 +59,12 @@ impl QueryClass {
 
 /// Fixed-point scale for virtual-time arithmetic: one dispatched query at
 /// weight `w` advances its class tag by `WFQ_SCALE / w`.
-pub const WFQ_SCALE: u64 = 1 << 16;
+const WFQ_SCALE: u64 = 1 << 16;
 
 /// Virtual finish tag for a flow's next arrival: the later of global
 /// virtual time and the flow's last tag, plus one weighted service
-/// quantum. Pure — shared verbatim by the threaded controller and the
-/// virtual-time simulator so both schedule identically.
-pub fn virtual_finish_tag(virtual_time: u64, class_last_tag: u64, weight: u32) -> u64 {
+/// quantum.
+fn virtual_finish_tag(virtual_time: u64, class_last_tag: u64, weight: u32) -> u64 {
     virtual_time.max(class_last_tag) + WFQ_SCALE / u64::from(weight.max(1))
 }
 
@@ -202,9 +199,8 @@ impl ShedReason {
 /// `max_concurrent`, each batch costing one service time, and the query
 /// itself costs one more. Under WFQ "queued ahead" means waiters whose
 /// virtual finish tag is at most the arrival's own — the set the
-/// scheduler would actually serve first. Pure — shared verbatim by the
-/// threaded controller and the virtual-time simulator.
-pub fn estimate_finish_ms(
+/// scheduler would actually serve first.
+fn estimate_finish_ms(
     now_ms: u64,
     running: usize,
     queued: usize,
@@ -719,6 +715,37 @@ mod tests {
             "burst starved behind batch backlog: {order:?}"
         );
         assert_eq!(order[0], QueryClass::Interactive);
+    }
+
+    #[test]
+    fn deadline_estimate_counts_only_waiters_tagged_ahead() {
+        // One slot busy, ten batch waiters parked (tags 1..=10 quanta),
+        // 10 ms service. An eleventh batch arrival drains behind all of
+        // them — 12 waves — so a 25 ms deadline sheds it. An interactive
+        // arrival's quarter-quantum tag sorts ahead of the whole backlog:
+        // only the running query is ahead, and the same deadline is met.
+        let adm = Admission::new(cfg(1, 16));
+        let gate = adm.admit(0, None).unwrap();
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            park_waiters(s, &adm, QueryClass::Batch, 10, &order);
+            assert_eq!(
+                adm.admit_class(0, Some(25), QueryClass::Batch).err(),
+                Some(ShedReason::DeadlineUnmeetable {
+                    estimated_finish_ms: 120,
+                    deadline_ms: 25,
+                })
+            );
+            let h = s.spawn(|| {
+                adm.admit_class(0, Some(25), QueryClass::Interactive)
+                    .map(drop)
+            });
+            while adm.queued_in_class(QueryClass::Interactive) < 1 && !h.is_finished() {
+                std::thread::yield_now();
+            }
+            drop(gate);
+            h.join().unwrap().expect("interactive arrival must queue");
+        });
     }
 
     /// Queues `n` interactive waiters for `tenant` and returns once all

@@ -13,8 +13,7 @@
 //!    [`rottnest::RottnestError::Overloaded`], and under contention each
 //!    class keeps at least its weight share of admissions.
 //! 3. **Deadline-aware shedding** — a query whose deadline cannot be met
-//!    even if admitted ([`estimate_finish_ms`]) is refused before it
-//!    costs a single store request.
+//!    even if admitted is refused before it costs a single store request.
 //! 4. **Single-flight dedup** — identical in-flight queries (same
 //!    snapshot version, column, and query fingerprint) share one search;
 //!    a thousand concurrent hot-UUID lookups cost one set of GETs.
@@ -26,18 +25,9 @@
 //! Admitted queries return results bit-identical to a direct
 //! `Rottnest::search` call; everything the service refuses or aborts
 //! fails fast with a typed error carrying a retry hint.
-//!
-//! [`sim`] holds a deterministic virtual-time model of the same policy
-//! (sharing [`estimate_finish_ms`] verbatim) that `bench_serve` uses to
-//! report reproducible tail latencies, shed rates, and dedup rates.
 
 pub mod admission;
 pub mod service;
-pub mod sim;
 
-pub use admission::{
-    estimate_finish_ms, virtual_finish_tag, Admission, AdmissionConfig, Permit, QueryClass,
-    ShedReason, WFQ_SCALE,
-};
+pub use admission::{Admission, AdmissionConfig, Permit, QueryClass, ShedReason};
 pub use service::{QueryService, ServeMode, ServiceConfig, ServiceStats};
-pub use sim::{simulate, SimConfig, SimReport};

@@ -2,6 +2,12 @@
 # Tier-1 gate: everything a PR must pass before merging.
 # Referenced from ROADMAP.md ("Tier-1 verify").
 #
+# Runs cargo fmt --check, the release build, clippy --all-targets with
+# warnings as errors, cargo bench --no-run (the criterion suites must
+# compile), cargo doc with warnings as errors, and the full test suite.
+# The real-stack benchmark smoke (benchmark/run.sh) and the kernel gate
+# (scripts/bench_gate.sh) are CI's separate bench-gate job.
+#
 # Usage: scripts/check.sh [--fast]
 #   --fast            skip the release build and lint debug profile only —
 #                     the quick pre-push loop; CI still runs the full gate.
