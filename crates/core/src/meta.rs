@@ -15,7 +15,7 @@
 use bytes::Bytes;
 use rottnest_compress::varint;
 use rottnest_format::PageTable;
-use rottnest_lake::{LakeError, TxLog};
+use rottnest_lake::{LakeError, LogListing, TxLog};
 use rottnest_object_store::ObjectStore;
 
 use crate::{Result, RottnestError};
@@ -239,28 +239,46 @@ impl<'a> MetaTable<'a> {
         TxLog::new(self.store, self.root.clone())
     }
 
-    /// Latest committed log version, or `None` for an empty table. Costs
-    /// one LIST and no GETs — the cheap revalidation probe for plan
-    /// caching: the log at a given version is immutable, so an unchanged
-    /// version proves a previous `scan_at` result is still current.
-    pub fn latest_version(&self) -> Result<Option<u64>> {
-        self.log().latest_version().map_err(RottnestError::Lake)
+    /// One LIST of the table's log. Planning asks it for the latest
+    /// version (the plan-cache revalidation probe: the log at a given
+    /// version is immutable, so an unchanged version proves a previous scan
+    /// is still current) and, on a miss, replays from the same listing with
+    /// [`MetaTable::scan_listed`] — one LIST either way.
+    pub fn listing(&self) -> Result<LogListing> {
+        self.log().listing().map_err(RottnestError::Lake)
     }
 
-    /// Replays the log into the current set of records, keyed by id.
+    /// Latest committed log version, or `None` for an empty table. Costs
+    /// one LIST and no GETs.
+    pub fn latest_version(&self) -> Result<Option<u64>> {
+        Ok(self.listing()?.latest_version())
+    }
+
+    /// Replays the log into the current set of records, keyed by id. One
+    /// LIST serves both the version probe and the replay.
     pub fn scan(&self) -> Result<Vec<IndexEntry>> {
-        match self.latest_version()? {
+        let listing = self.listing()?;
+        match listing.latest_version() {
             None => Ok(Vec::new()),
-            Some(latest) => self.scan_at(latest),
+            Some(latest) => self.scan_listed(&listing, latest),
         }
     }
 
     /// Replays the log up to commit `version` into the record set as of
-    /// that commit.
+    /// that commit (one LIST, then [`MetaTable::scan_listed`]).
     pub fn scan_at(&self, version: u64) -> Result<Vec<IndexEntry>> {
+        self.scan_listed(&self.listing()?, version)
+    }
+
+    /// Replays the log up to commit `version` off an existing `listing`:
+    /// no LIST, only the log GETs.
+    pub fn scan_listed(&self, listing: &LogListing, version: u64) -> Result<Vec<IndexEntry>> {
         let log = self.log();
         let mut entries: std::collections::BTreeMap<u64, IndexEntry> = Default::default();
-        for rec in log.read_until(version).map_err(RottnestError::Lake)? {
+        for rec in log
+            .read_listed(listing, version)
+            .map_err(RottnestError::Lake)?
+        {
             let buf = rec.payload.as_ref();
             let mut pos = 0usize;
             while pos < buf.len() {

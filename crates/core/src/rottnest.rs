@@ -129,7 +129,7 @@ pub struct Rottnest<'a> {
     index_dir: String,
     config: RottnestConfig,
     /// Metadata record set memoized per log version. Revalidation is one
-    /// LIST (`latest_version`); any index/compact/vacuum commit — from any
+    /// LIST (`MetaTable::listing`); any index/compact/vacuum commit — from any
     /// process — bumps the version, so a version match proves the cached
     /// plan is current.
     plan_cache: std::sync::Mutex<Option<(u64, std::sync::Arc<Vec<IndexEntry>>)>>,
@@ -454,10 +454,12 @@ impl<'a> Rottnest<'a> {
     /// The full metadata record set, memoized per log version. A hit costs
     /// one LIST instead of replaying the log (checkpoint/record GETs);
     /// since every metadata mutation commits a new version, an unchanged
-    /// version guarantees an unchanged record set across processes.
+    /// version guarantees an unchanged record set across processes. A miss
+    /// replays off the same listing, so it costs one LIST too.
     fn cached_meta_scan(&self) -> Result<std::sync::Arc<Vec<IndexEntry>>> {
         let meta = self.meta();
-        let Some(version) = meta.latest_version()? else {
+        let listing = meta.listing()?;
+        let Some(version) = listing.latest_version() else {
             // Empty log: nothing to key a cache entry on (and nothing to
             // cache — the scan would be free anyway).
             return Ok(std::sync::Arc::new(Vec::new()));
@@ -468,7 +470,7 @@ impl<'a> Rottnest<'a> {
                 return Ok(entries.clone());
             }
         }
-        let fresh = std::sync::Arc::new(meta.scan_at(version)?);
+        let fresh = std::sync::Arc::new(meta.scan_listed(&listing, version)?);
         *self.plan_cache.lock().expect("plan cache lock") = Some((version, fresh.clone()));
         Ok(fresh)
     }
@@ -589,8 +591,13 @@ impl<'a> Rottnest<'a> {
         let store_before = self.store().stats();
         // One page-cache session per query: probe reads across all workers
         // share its validator memo, so revalidation costs one HEAD per
-        // data file per query. `None` disables the cache entirely.
-        let session = self.config.search.page_cache.then(PageCacheSession::new);
+        // data file per query, and each batch's HEADs overlap over the
+        // search's fan-out width. `None` disables the cache entirely.
+        let session = self
+            .config
+            .search
+            .page_cache
+            .then(|| PageCacheSession::with_parallelism(self.config.search.parallelism));
         let session = session.as_ref();
         // Exact probes get a negative-scan-cache fingerprint; scoring
         // queries must rank every row, so they never consult it.
@@ -859,7 +866,15 @@ impl<'a> Rottnest<'a> {
         // 3. In-situ probe.
         self.check_deadline(deadline_ms)?;
         let matches = probe_exact(
-            table, snapshot, &pages, data_type, predicate, k, session, stats,
+            table,
+            snapshot,
+            &pages,
+            data_type,
+            predicate,
+            k,
+            session,
+            self.config.search.parallelism,
+            stats,
         )?;
         Ok((matches, failed))
     }
@@ -934,8 +949,13 @@ impl<'a> Rottnest<'a> {
         probe: Option<u64>,
     ) -> Result<Vec<Match>> {
         let mut matches = Vec::new();
-        let dvs = load_dvs(table, snapshot, uncovered.iter().map(|f| f.path.as_str()))?;
         let parallelism = self.config.search.parallelism;
+        let dvs = load_dvs(
+            table,
+            snapshot,
+            uncovered.iter().map(|f| f.path.as_str()),
+            parallelism,
+        )?;
         let neg = match (self.config.search.neg_cache, self.store().store_id(), probe) {
             (true, ns, Some(p)) if ns != 0 => Some((NegScanCache::global(), ns, p)),
             _ => None,
@@ -1157,7 +1177,12 @@ impl<'a> Rottnest<'a> {
         // Brute-force scan of uncovered files (always, for scoring
         // queries) — no early exit, so the parallel fan-out does no
         // speculative work; the merge just sums in file order.
-        let dvs = load_dvs(table, snapshot, uncovered.iter().map(|f| f.path.as_str()))?;
+        let dvs = load_dvs(
+            table,
+            snapshot,
+            uncovered.iter().map(|f| f.path.as_str()),
+            parallelism,
+        )?;
         let scans = parallel_map_io(
             parallelism,
             self.store().clock(),
@@ -1258,7 +1283,12 @@ impl<'a> Rottnest<'a> {
             &|_| Ok(Vec::new()),
         )?;
         stats.postings_returned += adc.len() as u64;
-        let dvs = load_dvs(table, snapshot, entry.files.iter().map(|f| f.path.as_str()))?;
+        let dvs = load_dvs(
+            table,
+            snapshot,
+            entry.files.iter().map(|f| f.path.as_str()),
+            self.config.search.parallelism,
+        )?;
         let live: Vec<(VecPosting, f32)> = adc
             .into_iter()
             .filter(|(p, _)| {

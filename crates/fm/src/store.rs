@@ -9,8 +9,13 @@
 //! ```
 //!
 //! A `count` costs ~2 block components per pattern symbol (the `l` and `r`
-//! boundaries); a `locate` additionally walks LF steps, each touching one
-//! (cached) block. The root rides along with the speculative open GET.
+//! boundaries), fetched as one round trip per symbol — backward search is
+//! inherently one dependent step per symbol. A `locate` additionally walks
+//! every occurrence back to a sampled row, but the walks do not depend on
+//! each other: they advance in lockstep, each round fetching the blocks all
+//! unresolved walks stand on in one batched round trip, so a locate costs at
+//! most `sample_rate` rounds however many occurrences it resolves. The root
+//! rides along with the speculative open GET.
 
 use bytes::Bytes;
 use rottnest_component::{ComponentFile, ComponentWriter, Posting};
@@ -371,39 +376,51 @@ impl<'a> FmIndex<'a> {
         self.cum.len() - 1
     }
 
-    fn block(&self, b: usize) -> Result<std::sync::Arc<Block>> {
-        if let Some(hit) = self.blocks.lock().expect("block cache").get(&b) {
-            return Ok(hit.clone());
+    /// Fetches and decodes whichever of `wanted` (block indices) the handle
+    /// has not decoded yet: one batched `components` call — one round trip —
+    /// however many are missing, none when all are present. Decoding straight
+    /// into the handle's map (not relying on the shared component cache)
+    /// keeps uncacheable `store_id() == 0` stores at one fetch per block.
+    fn load_blocks(&self, wanted: impl IntoIterator<Item = usize>) -> Result<()> {
+        let mut missing: Vec<usize> = {
+            let have = self.blocks.lock().expect("block cache");
+            wanted
+                .into_iter()
+                .filter(|b| !have.contains_key(b))
+                .collect()
+        };
+        if missing.is_empty() {
+            return Ok(());
         }
-        let block = std::sync::Arc::new(decode_block(&self.file.component(b + 1)?)?);
+        missing.sort_unstable();
+        missing.dedup();
+        let ids: Vec<usize> = missing.iter().map(|b| b + 1).collect();
+        let decoded = self
+            .file
+            .components(&ids)?
+            .iter()
+            .map(|buf| decode_block(buf).map(std::sync::Arc::new))
+            .collect::<Result<Vec<_>>>()?;
         self.blocks
             .lock()
             .expect("block cache")
-            .insert(b, block.clone());
-        Ok(block)
+            .extend(missing.into_iter().zip(decoded));
+        Ok(())
+    }
+
+    fn block(&self, b: usize) -> Result<std::sync::Arc<Block>> {
+        self.load_blocks([b])?;
+        let have = self.blocks.lock().expect("block cache");
+        Ok(have.get(&b).expect("just loaded").clone())
     }
 
     /// Visits every block in order after one batched fetch of all block
     /// components (used by merge's full materialization).
     pub(crate) fn for_each_block(&self, mut f: impl FnMut(&Block)) -> Result<()> {
-        let ids: Vec<usize> = (1..=self.num_blocks()).collect();
-        self.file.components(&ids)?;
+        self.load_blocks(0..self.num_blocks())?;
         for b in 0..self.num_blocks() {
             f(self.block(b)?.as_ref());
         }
-        Ok(())
-    }
-
-    /// Prefetches the blocks containing the given global positions in one
-    /// parallel round trip.
-    fn prefetch_positions(&self, positions: &[usize]) -> Result<()> {
-        let mut ids: Vec<usize> = positions
-            .iter()
-            .map(|&i| (i / self.block_size).min(self.num_blocks() - 1) + 1)
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        self.file.components(&ids)?;
         Ok(())
     }
 
@@ -427,9 +444,10 @@ impl<'a> FmIndex<'a> {
         let mut l = 0usize;
         let mut r = self.n;
         for &c in pattern.iter().rev() {
-            // Fetch both boundary blocks in one round trip.
-            self.prefetch_positions(&[l.min(self.n - 1), r.min(self.n - 1)])?;
+            // Fetch both boundary blocks in one round trip (a boundary at
+            // the very end of the BWT needs no block, only the totals).
             let (bl, br) = (l / self.block_size, r / self.block_size);
+            self.load_blocks([bl, br].into_iter().filter(|&b| b < self.num_blocks()))?;
             let (rl, rr) = if bl == br && bl < self.num_blocks() {
                 let block = self.block(bl)?;
                 let cum = self.cum[bl][c as usize] as usize;
@@ -458,16 +476,8 @@ impl<'a> FmIndex<'a> {
     /// Locates up to `limit` occurrences, returning deduplicated page
     /// postings (with per-page hit counts).
     pub fn locate_pages(&self, pattern: &[u8], limit: usize) -> Result<Vec<(Posting, u32)>> {
-        let (l, r) = self.interval(pattern)?;
-        let take = (r - l).min(limit);
-        // Warm the cache for the starting rows.
-        let rows: Vec<usize> = (l..l + take).collect();
-        if !rows.is_empty() {
-            self.prefetch_positions(&rows)?;
-        }
         let mut hits: Vec<(Posting, u32)> = Vec::new();
-        for row in l..l + take {
-            let pos = self.resolve_row(row)?;
+        for pos in self.locate_offsets(pattern, limit)? {
             if let Some(p) = self.map.lookup(pos) {
                 match hits.iter_mut().find(|(q, _)| *q == p) {
                     Some((_, n)) => *n += 1,
@@ -478,28 +488,42 @@ impl<'a> FmIndex<'a> {
         Ok(hits)
     }
 
-    /// Locates up to `limit` raw text offsets.
+    /// Locates up to `limit` raw text offsets, in suffix-array row order.
+    ///
+    /// Every occurrence walks LF steps back to a sampled row. The walks are
+    /// independent, so they advance in lockstep: each round fetches the
+    /// blocks all unresolved walkers stand on with one batched round trip,
+    /// then steps every walker as far as decoded blocks carry it. A walker
+    /// takes at least one step per round and fewer than `sample_rate` in
+    /// all, so the request depth is bounded by `sample_rate`, not by the
+    /// number of occurrences.
     pub fn locate_offsets(&self, pattern: &[u8], limit: usize) -> Result<Vec<u64>> {
         let (l, r) = self.interval(pattern)?;
         let take = (r - l).min(limit);
-        (l..l + take).map(|row| self.resolve_row(row)).collect()
-    }
-
-    fn resolve_row(&self, mut row: usize) -> Result<u64> {
-        let mut steps = 0u64;
-        loop {
-            let b = row / self.block_size;
-            let local = row - b * self.block_size;
-            let block = self.block(b)?;
-            if block.marks.get(local) {
-                let idx = block.marks.rank1(local);
-                return Ok(block.samples[idx] + steps);
-            }
-            let (sym, r) = block.wm.access_and_rank(local);
-            debug_assert_ne!(sym, SENTINEL, "string starts must be sampled");
-            row = self.c_table[sym as usize] as usize + self.cum[b][sym as usize] as usize + r;
-            steps += 1;
+        let mut offsets = vec![0u64; take];
+        // (output slot, current row, LF steps taken) per unresolved walker.
+        let mut walkers: Vec<(usize, usize, u64)> = (0..take).map(|i| (i, l + i, 0)).collect();
+        while !walkers.is_empty() {
+            self.load_blocks(walkers.iter().map(|&(_, row, _)| row / self.block_size))?;
+            let blocks = self.blocks.lock().expect("block cache");
+            walkers.retain_mut(|(slot, row, steps)| loop {
+                let b = *row / self.block_size;
+                let Some(block) = blocks.get(&b) else {
+                    return true;
+                };
+                let local = *row - b * self.block_size;
+                if block.marks.get(local) {
+                    offsets[*slot] = block.samples[block.marks.rank1(local)] + *steps;
+                    return false;
+                }
+                let (sym, rank) = block.wm.access_and_rank(local);
+                debug_assert_ne!(sym, SENTINEL, "string starts must be sampled");
+                *row =
+                    self.c_table[sym as usize] as usize + self.cum[b][sym as usize] as usize + rank;
+                *steps += 1;
+            });
         }
+        Ok(offsets)
     }
 }
 
@@ -663,5 +687,204 @@ mod tests {
         // (bytes cached by the component layer, decoded blocks by FmIndex).
         idx.locate_pages(b"quick brown fox", 64).unwrap();
         assert_eq!(store.stats().since(&before).gets, 0);
+    }
+
+    /// Forwards to a `MemoryStore` but keeps the trait's default
+    /// `store_id() == 0`, so no process-wide cache serves it, and logs every
+    /// range requested of it.
+    struct Uncacheable {
+        inner: std::sync::Arc<MemoryStore>,
+        ranges: std::sync::Mutex<Vec<(String, std::ops::Range<u64>)>>,
+    }
+
+    impl ObjectStore for Uncacheable {
+        fn put(&self, key: &str, data: Bytes) -> rottnest_object_store::Result<()> {
+            self.inner.put(key, data)
+        }
+        fn put_if_absent(&self, key: &str, data: Bytes) -> rottnest_object_store::Result<()> {
+            self.inner.put_if_absent(key, data)
+        }
+        fn get(&self, key: &str) -> rottnest_object_store::Result<Bytes> {
+            self.inner.get(key)
+        }
+        fn get_range(
+            &self,
+            key: &str,
+            range: std::ops::Range<u64>,
+        ) -> rottnest_object_store::Result<Bytes> {
+            self.ranges
+                .lock()
+                .unwrap()
+                .push((key.to_string(), range.clone()));
+            self.inner.get_range(key, range)
+        }
+        fn get_ranges(
+            &self,
+            requests: &[rottnest_object_store::RangeRequest],
+        ) -> rottnest_object_store::Result<Vec<Bytes>> {
+            let mut log = self.ranges.lock().unwrap();
+            log.extend(requests.iter().map(|r| (r.key.clone(), r.range.clone())));
+            drop(log);
+            self.inner.get_ranges(requests)
+        }
+        fn head(
+            &self,
+            key: &str,
+        ) -> rottnest_object_store::Result<rottnest_object_store::ObjectMeta> {
+            self.inner.head(key)
+        }
+        fn list(
+            &self,
+            prefix: &str,
+        ) -> rottnest_object_store::Result<Vec<rottnest_object_store::ObjectMeta>> {
+            self.inner.list(prefix)
+        }
+        fn delete(&self, key: &str) -> rottnest_object_store::Result<()> {
+            self.inner.delete(key)
+        }
+        fn now_ms(&self) -> u64 {
+            self.inner.now_ms()
+        }
+        fn stats(&self) -> rottnest_object_store::StatsSnapshot {
+            self.inner.stats()
+        }
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Documents over a four-letter alphabet, so short patterns recur often.
+    fn random_docs(seed: u64, n: usize) -> Vec<Vec<u8>> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..n)
+            .map(|_| {
+                let len = 4 + (xorshift(&mut x) % 28) as usize;
+                (0..len)
+                    .map(|_| b"abc "[(xorshift(&mut x) % 4) as usize])
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn build_docs(docs: &[Vec<u8>], first_file: u32, options: &FmOptions) -> Bytes {
+        let mut b = FmBuilder::with_options(options.clone());
+        for (d, doc) in docs.iter().enumerate() {
+            b.add_document(
+                Posting::new(first_file + d as u32 / 8, d as u32 % 8 / 3),
+                doc,
+            );
+        }
+        b.finish()
+    }
+
+    /// The lockstep walk against the serial in-memory oracle
+    /// (`FmCore::locate` resolves one row at a time): same offsets in the
+    /// same order, hence same postings and hit counts, for every limit,
+    /// layout and store kind — and on a store no cache serves, no block is
+    /// requested twice by one handle.
+    #[test]
+    fn lockstep_locate_equals_serial_oracle() {
+        use crate::core::concat_documents;
+        use crate::merge::{load_full, merge_cores, merge_fm, MergePolicy};
+        use rottnest_component::ComponentCache;
+
+        for seed in 1..=2u64 {
+            for block_size in [64usize, 1 << 16] {
+                for sample_rate in [1u32, 4, 32] {
+                    let options = FmOptions {
+                        block_size,
+                        sample_rate,
+                    };
+                    let (docs_a, docs_b) = (random_docs(seed, 24), random_docs(seed + 100, 16));
+                    let cached = MemoryStore::unmetered();
+                    let bare = Uncacheable {
+                        inner: MemoryStore::unmetered(),
+                        ranges: Default::default(),
+                    };
+                    for store in [cached.as_ref() as &dyn ObjectStore, &bare] {
+                        store.put("a.fm", build_docs(&docs_a, 0, &options)).unwrap();
+                        store.put("b.fm", build_docs(&docs_b, 3, &options)).unwrap();
+                        let a = FmIndex::open(store, "a.fm").unwrap();
+                        let b = FmIndex::open(store, "b.fm").unwrap();
+                        let policy = MergePolicy {
+                            options: options.clone(),
+                            ..Default::default()
+                        };
+                        merge_fm(store, &[(&a, 0), (&b, 0)], "m.fm", &policy).unwrap();
+                    }
+
+                    // Oracles: the single index rebuilt in memory from its
+                    // text; the merged one (two sentinels) merged in memory.
+                    let (text, _) = concat_documents(docs_a.iter().map(Vec::as_slice));
+                    let plain = FmCore::build(&text, sample_rate);
+                    let merged = {
+                        let a = FmIndex::open(cached.as_ref(), "a.fm").unwrap();
+                        let b = FmIndex::open(cached.as_ref(), "b.fm").unwrap();
+                        let policy = MergePolicy::default();
+                        merge_cores(&load_full(&a).unwrap(), &load_full(&b).unwrap(), &policy)
+                            .unwrap()
+                            .core
+                    };
+
+                    let mut x = seed ^ 0xfeed;
+                    let mut patterns: Vec<Vec<u8>> = (0..5)
+                        .map(|_| {
+                            let doc = &docs_a[(xorshift(&mut x) % docs_a.len() as u64) as usize];
+                            let len = 1 + (xorshift(&mut x) % 3) as usize;
+                            let at = (xorshift(&mut x) % (doc.len() - len) as u64) as usize;
+                            doc[at..at + len].to_vec()
+                        })
+                        .collect();
+                    patterns.push(b"zzz".to_vec());
+
+                    for (key, oracle) in [("a.fm", &plain), ("m.fm", &merged)] {
+                        for pattern in &patterns {
+                            let occ = oracle.count(pattern).unwrap();
+                            for limit in [0, 1, occ / 2, occ, usize::MAX] {
+                                let expect = oracle.locate(pattern, limit).unwrap();
+                                let ctx = format!(
+                                    "{key} seed {seed} bs {block_size} sr {sample_rate} \
+                                     pattern {pattern:?} limit {limit}"
+                                );
+                                for variant in ["cacheable", "cache cleared", "store id 0"] {
+                                    if variant == "cache cleared" {
+                                        ComponentCache::global().clear();
+                                    }
+                                    bare.ranges.lock().unwrap().clear();
+                                    let store: &dyn ObjectStore = match variant {
+                                        "store id 0" => &bare,
+                                        _ => cached.as_ref(),
+                                    };
+                                    let idx = FmIndex::open(store, key).unwrap();
+                                    let got = idx.locate_offsets(pattern, limit).unwrap();
+                                    assert_eq!(got, expect, "offsets, {variant}, {ctx}");
+
+                                    let mut pages: Vec<(Posting, u32)> = Vec::new();
+                                    for &pos in &expect {
+                                        let p = idx.page_map().lookup(pos).unwrap();
+                                        match pages.iter_mut().find(|(q, _)| *q == p) {
+                                            Some((_, n)) => *n += 1,
+                                            None => pages.push((p, 1)),
+                                        }
+                                    }
+                                    let got = idx.locate_pages(pattern, limit).unwrap();
+                                    assert_eq!(got, pages, "pages, {variant}, {ctx}");
+
+                                    let mut asked = bare.ranges.lock().unwrap().clone();
+                                    let total = asked.len();
+                                    asked.sort_by_key(|(k, r)| (k.clone(), r.start));
+                                    asked.dedup();
+                                    assert_eq!(asked.len(), total, "a block fetched twice, {ctx}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

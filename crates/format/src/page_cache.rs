@@ -18,11 +18,15 @@
 //!   overwritten file gets a new validator, so stale pages can never be
 //!   served; they age out of the LRU unreferenced.
 //!
-//! Revalidation costs **one HEAD per file per query**, not per page: the
-//! [`PageCacheSession`] a search creates memoizes validators for the
-//! duration of the query, and the session is shared across parallel probe
-//! workers. A HEAD is an order of magnitude cheaper than the GET it can
-//! save, and on a miss the HEAD still primes the insert's validator.
+//! Revalidation costs **one HEAD per file per query, issued as one wave per
+//! batch**, not per page: the [`PageCacheSession`] a search creates memoizes
+//! validators for the duration of the query, the session is shared across
+//! parallel probe workers, and a batch read revalidates all of its
+//! not-yet-memoized files at once, overlapped over the session's connection
+//! lanes — the HEADs do not depend on each other, so a 12-file batch pays
+//! ⌈12 / lanes⌉ HEAD latencies, not 12. A HEAD is an order of magnitude
+//! cheaper than the GET it can save, and on a miss the HEAD still primes the
+//! insert's validator.
 //!
 //! Budget: a separate [`ByteLru`] instance from the component cache —
 //! default 256 MiB each — so a burst of large data pages can never evict
@@ -36,7 +40,10 @@
 use std::sync::{Mutex, OnceLock};
 
 use bytes::Bytes;
-use rottnest_object_store::{ByteLru, FxHashMap, ObjectStore};
+use rottnest_object_store::{
+    current_deadline_ms, is_cancelled, ordered_parallel_map_io, push_deadline, ByteLru, FxHashMap,
+    ObjectStore, StoreError,
+};
 
 /// Default page-cache capacity in bytes (separate from the component
 /// cache's budget).
@@ -152,43 +159,120 @@ impl PageCache {
 /// Per-query validator memo: one HEAD per file per query.
 ///
 /// A search creates one session and shares it (by reference) across every
-/// probe worker. The first reader of each file HEADs it once to derive the
-/// validator; every later page of that file — from any worker — reuses the
-/// memoized answer. `None` is memoized too: a file whose HEAD failed (or a
-/// store with id 0) reads straight through without caching, preserving
-/// exact pre-cache behaviour.
-#[derive(Default)]
+/// probe worker. The first batch that touches a file HEADs it — together
+/// with every other new file of that batch, in one overlapped wave — to
+/// derive the validator; every later page of that file, from any worker,
+/// reuses the memoized answer. `None` is memoized too: a file whose HEAD
+/// failed (or a store with id 0) reads straight through without caching,
+/// preserving exact pre-cache behaviour.
 pub struct PageCacheSession {
     validators: Mutex<FxHashMap<(u64, String), Option<u64>>>,
+    /// Connection lanes a revalidation wave overlaps its HEADs over.
+    lanes: usize,
+}
+
+impl Default for PageCacheSession {
+    fn default() -> Self {
+        Self::with_parallelism(1)
+    }
 }
 
 impl PageCacheSession {
-    /// Creates an empty session.
+    /// Creates an empty session that revalidates files one HEAD after the
+    /// other.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The validator for `key` on `store`, HEADing the file on first use.
+    /// Creates an empty session whose revalidation waves overlap up to
+    /// `lanes` HEADs (a search passes its fan-out width). Validators, and
+    /// the one-HEAD-per-file count, are the same at every setting; only
+    /// elapsed time differs.
+    pub fn with_parallelism(lanes: usize) -> Self {
+        Self {
+            validators: Mutex::default(),
+            lanes: lanes.max(1),
+        }
+    }
+
+    /// The validators for `keys` on `store`, one per key in order, HEADing
+    /// every distinct file this session has not seen yet in **one wave**.
     ///
-    /// Returns `None` when the store is uncacheable (`store_id() == 0`) or
-    /// the HEAD failed; callers fall back to plain uncached reads. The memo
-    /// lock is held across the HEAD so concurrent workers asking about the
-    /// same file still cost a single request.
-    pub fn validator(&self, store: &dyn ObjectStore, key: &str) -> Option<u64> {
+    /// `None` marks a file to read uncached: the store is uncacheable
+    /// (`store_id() == 0`) or its HEAD failed. A HEAD that was cancelled or
+    /// ran out of the caller's deadline says nothing about the file: it is
+    /// not memoized and the first such error, in key order, is returned.
+    ///
+    /// The memo lock is held across the wave — and only the wave — so
+    /// concurrent workers asking about the same files still cost a single
+    /// HEAD per file, and nobody queues behind more than one round of
+    /// overlapped HEADs. When every file is already memoized no request is
+    /// made and the worker pool is not touched.
+    pub fn validators(
+        &self,
+        store: &dyn ObjectStore,
+        keys: &[&str],
+    ) -> Result<Vec<Option<u64>>, StoreError> {
         let ns = store.store_id();
         if ns == 0 {
-            return None;
+            return Ok(vec![None; keys.len()]);
         }
-        let mut memo = self.validators.lock().unwrap();
-        if let Some(v) = memo.get(&(ns, key.to_string())) {
-            return *v;
+        // The distinct files of the batch, in first-seen order; `slots[i]`
+        // is the file of `keys[i]`. A batch is many pages of few files, so
+        // the memo is consulted once per file, not per page.
+        let mut slot_of: FxHashMap<&str, usize> = FxHashMap::default();
+        let mut files: Vec<&str> = Vec::new();
+        let slots: Vec<usize> = keys
+            .iter()
+            .map(|&key| {
+                *slot_of.entry(key).or_insert_with(|| {
+                    files.push(key);
+                    files.len() - 1
+                })
+            })
+            .collect();
+
+        let mut memo = self.validators.lock().expect("validator memo lock");
+        let mut resolved: Vec<Option<Option<u64>>> = files
+            .iter()
+            .map(|file| memo.get(&(ns, file.to_string())).copied())
+            .collect();
+        let missing: Vec<usize> = (0..files.len())
+            .filter(|&f| resolved[f].is_none())
+            .collect();
+        if !missing.is_empty() {
+            // Units may run on pool workers: re-install the caller's
+            // deadline there so a retry backoff inside the wave still fails
+            // typed instead of sleeping through the budget.
+            let deadline_ms = current_deadline_ms();
+            let heads = ordered_parallel_map_io(self.lanes, store.clock(), &missing, |_, &f| {
+                let _deadline = push_deadline(deadline_ms);
+                store.head(files[f])
+            });
+            let mut aborted = None;
+            for (&f, head) in missing.iter().zip(heads) {
+                let validator = match head {
+                    Ok(meta) => Some(PageCache::file_validator(meta.size, meta.created_ms)),
+                    Err(e)
+                        if is_cancelled(&e)
+                            || matches!(e.root(), StoreError::DeadlineExceeded { .. }) =>
+                    {
+                        aborted.get_or_insert(e);
+                        continue;
+                    }
+                    Err(_) => None,
+                };
+                memo.insert((ns, files[f].to_string()), validator);
+                resolved[f] = Some(validator);
+            }
+            if let Some(e) = aborted {
+                return Err(e);
+            }
         }
-        let v = store
-            .head(key)
-            .ok()
-            .map(|meta| PageCache::file_validator(meta.size, meta.created_ms));
-        memo.insert((ns, key.to_string()), v);
-        v
+        Ok(slots
+            .into_iter()
+            .map(|f| resolved[f].expect("every file resolved"))
+            .collect())
     }
 }
 
@@ -251,20 +335,77 @@ mod tests {
         store.put("d/b.lkpq", bytes_of(200, 2)).unwrap();
 
         let session = PageCacheSession::new();
+        let validators = |keys: &[&str]| session.validators(store.as_ref(), keys).unwrap();
         let before = store.stats();
-        let va = session.validator(store.as_ref(), "d/a.lkpq");
-        assert!(va.is_some());
+        let va = validators(&["d/a.lkpq"]);
+        assert!(va[0].is_some());
         for _ in 0..5 {
-            assert_eq!(session.validator(store.as_ref(), "d/a.lkpq"), va);
+            assert_eq!(validators(&["d/a.lkpq"]), va);
         }
-        session.validator(store.as_ref(), "d/b.lkpq").unwrap();
+        let both = validators(&["d/b.lkpq", "d/a.lkpq", "d/b.lkpq"]);
+        assert_eq!(both[1], va[0]);
+        assert_eq!(both[0], both[2]);
+        assert_ne!(both[0], both[1]);
         let delta = store.stats().since(&before);
         assert_eq!(delta.heads, 2, "one HEAD per distinct file");
 
         // Missing files memoize None without re-HEADing.
         let before = store.stats();
-        assert!(session.validator(store.as_ref(), "d/gone.lkpq").is_none());
-        assert!(session.validator(store.as_ref(), "d/gone.lkpq").is_none());
+        assert_eq!(validators(&["d/gone.lkpq"]), [None]);
+        assert_eq!(validators(&["d/gone.lkpq", "d/a.lkpq"]), [None, va[0]]);
         assert_eq!(store.stats().since(&before).heads, 1);
+    }
+
+    #[test]
+    fn revalidation_wave_overlaps_heads_over_the_session_lanes() {
+        use rottnest_object_store::MemoryStore;
+        let keys: Vec<String> = (0..12).map(|i| format!("d/{i:02}.lkpq")).collect();
+        let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+        let head_us = rottnest_object_store::LatencyModel::default().small_op_us;
+        // (lanes, rounds of HEAD latency a 12-file wave costs)
+        for (lanes, rounds) in [(1, 12), (8, 2), (12, 1), (64, 1)] {
+            let store = MemoryStore::new();
+            for key in &keys {
+                store.put(key, bytes_of(10, 1)).unwrap();
+            }
+            let session = PageCacheSession::with_parallelism(lanes);
+            let clock = store.clock().unwrap();
+            let before = store.stats();
+            let (first, elapsed) = clock.time(|| session.validators(store.as_ref(), &keys));
+            assert_eq!(elapsed, rounds * head_us, "{lanes} lanes");
+            assert_eq!(store.stats().since(&before).heads, 12);
+            // Memoized: free, and identical.
+            let (again, elapsed) = clock.time(|| session.validators(store.as_ref(), &keys));
+            assert_eq!(elapsed, 0);
+            assert_eq!(first.unwrap(), again.unwrap());
+            assert_eq!(store.stats().since(&before).heads, 12);
+        }
+    }
+
+    #[test]
+    fn concurrent_readers_of_overlapping_files_head_each_file_once() {
+        use rottnest_object_store::MemoryStore;
+        let store = MemoryStore::unmetered();
+        let keys: Vec<String> = (0..10).map(|i| format!("d/{i:02}.lkpq")).collect();
+        for key in &keys {
+            store.put(key, bytes_of(10, 1)).unwrap();
+        }
+        let session = PageCacheSession::with_parallelism(4);
+        let barrier = std::sync::Barrier::new(2);
+        let before = store.stats();
+        let (a, b) = std::thread::scope(|scope| {
+            let wave = |range: std::ops::Range<usize>| {
+                let (session, store, barrier, keys) = (&session, &store, &barrier, &keys);
+                scope.spawn(move || {
+                    let mine: Vec<&str> = keys[range].iter().map(String::as_str).collect();
+                    barrier.wait();
+                    session.validators(store.as_ref(), &mine).unwrap()
+                })
+            };
+            let (a, b) = (wave(0..7), wave(3..10));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(store.stats().since(&before).heads, 10, "one HEAD per file");
+        assert_eq!(a[3..], b[..4], "both readers see the same validators");
     }
 }

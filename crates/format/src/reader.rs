@@ -179,7 +179,10 @@ impl<'a> PageReader<'a> {
         let loc = table
             .page(page_id)
             .ok_or_else(|| FormatError::Corrupt(format!("no page {page_id} in table")))?;
-        let validator = self.cache.and_then(|s| s.validator(self.store, key));
+        let validator = match self.cache {
+            Some(session) => session.validators(self.store, &[key])?[0],
+            None => None,
+        };
         if let Some(v) = validator {
             let ns = self.store.store_id();
             if let Some(bytes) = PageCache::global().get(ns, key, loc.offset, loc.size, v) {
@@ -218,10 +221,12 @@ impl<'a> PageReader<'a> {
     /// `(file_key, page_table, page_id)` triples; results come back in
     /// order.
     ///
-    /// With a cache session, the cache is consulted **before** the batch is
-    /// handed to [`ObjectStore::get_ranges`]: cached pages never reach the
-    /// range coalescer, so a hit can never widen a covering GET around it —
-    /// only the true misses are fetched (and inserted for next time).
+    /// With a cache session, the batch's files are first revalidated in one
+    /// overlapped HEAD wave (only those the session has not seen yet), then
+    /// the cache is consulted **before** the batch is handed to
+    /// [`ObjectStore::get_ranges`]: cached pages never reach the range
+    /// coalescer, so a hit can never widen a covering GET around it — only
+    /// the true misses are fetched (and inserted for next time).
     pub fn read_pages(
         &self,
         requests: &[(&str, &PageTable, usize)],
@@ -236,12 +241,20 @@ impl<'a> PageReader<'a> {
         }
 
         let ns = self.store.store_id();
+        let validators = match self.cache {
+            Some(session) => {
+                let keys: Vec<&str> = requests.iter().map(|&(key, _, _)| key).collect();
+                session.validators(self.store, &keys)?
+            }
+            None => vec![None; requests.len()],
+        };
         let mut payloads: Vec<Option<Bytes>> = vec![None; requests.len()];
         // (request index, validator) for pages the cache could not serve.
         let mut misses: Vec<(usize, Option<u64>)> = Vec::new();
         let (mut hits, mut tracked_misses, mut bytes_saved) = (0u64, 0u64, 0u64);
-        for (i, ((key, _, _), &(offset, size))) in requests.iter().zip(&locs).enumerate() {
-            let validator = self.cache.and_then(|s| s.validator(self.store, key));
+        for (i, (((key, _, _), &(offset, size)), validator)) in
+            requests.iter().zip(&locs).zip(validators).enumerate()
+        {
             if let Some(v) = validator {
                 if let Some(bytes) = PageCache::global().get(ns, key, offset, size, v) {
                     hits += 1;

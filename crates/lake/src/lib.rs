@@ -19,7 +19,7 @@ pub mod snapshot;
 pub mod table;
 
 pub use dv::DeletionVector;
-pub use log::{LogEntry, TxLog};
+pub use log::{LogEntry, LogListing, TxLog};
 pub use snapshot::{FileEntry, Snapshot};
 pub use table::{Table, TableConfig};
 

@@ -11,7 +11,7 @@
 //! Lake table itself resident on object storage").
 
 use bytes::Bytes;
-use rottnest_object_store::{ObjectStore, StoreError};
+use rottnest_object_store::{ObjectMeta, ObjectStore, RangeRequest, StoreError};
 
 use crate::{LakeError, Result};
 
@@ -24,6 +24,21 @@ pub struct LogEntry {
     pub payload: Bytes,
     /// Commit timestamp on the store's clock (ms).
     pub timestamp_ms: u64,
+}
+
+/// The commit and checkpoint objects one LIST of a log's `_log/` prefix
+/// returned, by version. See [`TxLog::listing`].
+#[derive(Debug, Clone, Default)]
+pub struct LogListing {
+    commits: Vec<(u64, ObjectMeta)>,
+    checkpoints: Vec<(u64, ObjectMeta)>,
+}
+
+impl LogListing {
+    /// Latest committed version, or `None` for an empty log.
+    pub fn latest_version(&self) -> Option<u64> {
+        self.commits.iter().map(|(v, _)| *v).max()
+    }
 }
 
 /// A transactional, append-only log at `<root>/_log/` on an object store.
@@ -47,16 +62,32 @@ impl<'a> TxLog<'a> {
         format!("{}/_log/{:0PAD$}.log", self.root, version)
     }
 
-    fn version_of(&self, key: &str) -> Option<u64> {
-        let name = key.strip_prefix(&format!("{}/_log/", self.root))?;
-        let digits = name.strip_suffix(".log")?;
-        digits.parse().ok()
+    /// One LIST of `_log/`, parsed. A reader that needs the latest version
+    /// *and* the entries up to it (a snapshot, a plan-cache miss) takes one
+    /// listing and hands it to [`TxLog::read_listed`], instead of paying
+    /// the LIST once per question.
+    pub fn listing(&self) -> Result<LogListing> {
+        let prefix = format!("{}/_log/", self.root);
+        let mut listing = LogListing::default();
+        for meta in self.store.list(&prefix)? {
+            let Some(name) = meta.key.strip_prefix(&prefix) else {
+                continue;
+            };
+            let (digits, into) = match name.rsplit_once('.') {
+                Some((digits, "log")) => (digits, &mut listing.commits),
+                Some((digits, "ckpt")) => (digits, &mut listing.checkpoints),
+                _ => continue,
+            };
+            if let Ok(version) = digits.parse() {
+                into.push((version, meta));
+            }
+        }
+        Ok(listing)
     }
 
-    /// Latest committed version, or `None` for an empty log.
+    /// Latest committed version, or `None` for an empty log. One LIST.
     pub fn latest_version(&self) -> Result<Option<u64>> {
-        let entries = self.store.list(&format!("{}/_log/", self.root))?;
-        Ok(entries.iter().filter_map(|m| self.version_of(&m.key)).max())
+        Ok(self.listing()?.latest_version())
     }
 
     /// Reads the entry at `version`.
@@ -78,31 +109,29 @@ impl<'a> TxLog<'a> {
         format!("{}/_log/{:0PAD$}.ckpt", self.root, version)
     }
 
-    fn ckpt_version_of(&self, key: &str) -> Option<u64> {
-        let name = key.strip_prefix(&format!("{}/_log/", self.root))?;
-        let digits = name.strip_suffix(".ckpt")?;
-        digits.parse().ok()
+    /// Reads all entries `0..=version` in order: one LIST, then
+    /// [`TxLog::read_listed`].
+    pub fn read_until(&self, version: u64) -> Result<Vec<LogEntry>> {
+        self.read_listed(&self.listing()?, version)
     }
 
-    /// Reads all entries `0..=version` in order — one LIST plus **one
-    /// parallel round trip** of GETs (log objects are independent, so a
-    /// reader fetches them with full access width, §V-B). When a checkpoint
-    /// at version `c ≤ version` exists, only the checkpoint plus the tail
-    /// `c+1..=version` are fetched.
-    pub fn read_until(&self, version: u64) -> Result<Vec<LogEntry>> {
-        let listing = self.store.list(&format!("{}/_log/", self.root))?;
-
+    /// Reads all entries `0..=version` in order off an existing `listing` —
+    /// no LIST, **one parallel round trip** of GETs (log objects are
+    /// independent, so a reader fetches them with full access width, §V-B).
+    /// When a checkpoint at version `c ≤ version` exists, only the
+    /// checkpoint (one GET first) plus the tail `c+1..=version` are fetched.
+    pub fn read_listed(&self, listing: &LogListing, version: u64) -> Result<Vec<LogEntry>> {
         // Latest usable checkpoint.
         let checkpoint = listing
+            .checkpoints
             .iter()
-            .filter_map(|m| self.ckpt_version_of(&m.key).map(|v| (v, m.clone())))
             .filter(|(v, _)| *v <= version)
             .max_by_key(|(v, _)| *v);
-        let from = checkpoint.as_ref().map_or(0, |(v, _)| v + 1);
+        let from = checkpoint.map_or(0, |(v, _)| v + 1);
 
-        let mut metas: Vec<(u64, rottnest_object_store::ObjectMeta)> = listing
-            .into_iter()
-            .filter_map(|m| self.version_of(&m.key).map(|v| (v, m)))
+        let mut metas: Vec<&(u64, ObjectMeta)> = listing
+            .commits
+            .iter()
             .filter(|(v, _)| (from..=version).contains(v))
             .collect();
         metas.sort_by_key(|(v, _)| *v);
@@ -120,9 +149,9 @@ impl<'a> TxLog<'a> {
             entries.extend(decode_checkpoint(&bytes)?);
         }
         if !metas.is_empty() {
-            let requests: Vec<rottnest_object_store::RangeRequest> = metas
+            let requests: Vec<RangeRequest> = metas
                 .iter()
-                .map(|(_, m)| rottnest_object_store::RangeRequest::new(m.key.clone(), 0..m.size))
+                .map(|(_, m)| RangeRequest::new(m.key.clone(), 0..m.size))
                 .collect();
             let payloads = self.store.get_ranges(&requests)?;
             entries.extend(
@@ -130,7 +159,7 @@ impl<'a> TxLog<'a> {
                     .into_iter()
                     .zip(payloads)
                     .map(|((v, m), payload)| LogEntry {
-                        version: v,
+                        version: *v,
                         payload,
                         timestamp_ms: m.created_ms,
                     }),
@@ -164,11 +193,7 @@ impl<'a> TxLog<'a> {
 
     /// Latest checkpoint version, if any.
     pub fn latest_checkpoint(&self) -> Result<Option<u64>> {
-        let listing = self.store.list(&format!("{}/_log/", self.root))?;
-        Ok(listing
-            .iter()
-            .filter_map(|m| self.ckpt_version_of(&m.key))
-            .max())
+        Ok(self.listing()?.checkpoints.iter().map(|(v, _)| *v).max())
     }
 
     /// Attempts to commit `payload` at exactly `expected_version`.
@@ -325,6 +350,28 @@ mod tests {
         log.read_until(9).unwrap();
         let delta = store.stats().since(&before);
         assert!(delta.gets <= 4 + 1, "gets with checkpoint: {}", delta.gets);
+    }
+
+    #[test]
+    fn one_listing_serves_the_version_probe_and_the_replay() {
+        let store = MemoryStore::unmetered();
+        let log = TxLog::new(store.as_ref(), "tbl");
+        for i in 0u8..6 {
+            log.commit(Bytes::from(vec![i]), 0).unwrap();
+        }
+        log.write_checkpoint(2).unwrap();
+        let before = store.stats();
+        let listing = log.listing().unwrap();
+        let latest = listing.latest_version().unwrap();
+        let entries = log.read_listed(&listing, latest).unwrap();
+        assert_eq!(store.stats().since(&before).lists, 1);
+        assert_eq!(latest, 5);
+        assert_eq!(entries, log.read_until(5).unwrap());
+        // The same listing replays any earlier version too.
+        assert_eq!(
+            log.read_listed(&listing, 1).unwrap(),
+            log.read_until(1).unwrap()
+        );
     }
 
     #[test]

@@ -109,13 +109,15 @@ impl<'a> Table<'a> {
         TxLog::new(&self.retry, self.root.clone())
     }
 
-    /// Latest snapshot.
+    /// Latest snapshot: one LIST serves both the version probe and the
+    /// replay.
     pub fn snapshot(&self) -> Result<Snapshot> {
         let log = self.log();
-        let version = log
-            .latest_version()?
+        let listing = log.listing()?;
+        let version = listing
+            .latest_version()
             .ok_or_else(|| LakeError::Corrupt("empty log".into()))?;
-        Snapshot::replay(&log.read_until(version)?)
+        Snapshot::replay(&log.read_listed(&listing, version)?)
     }
 
     /// Snapshot at a historical version (time travel).

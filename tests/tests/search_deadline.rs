@@ -4,16 +4,20 @@
 //! * a deadline expiring mid-brute-scan aborts between files with a typed
 //!   error and leaves every process-wide cache unpoisoned — the rerun
 //!   matches a fault-free client that never saw an abort;
-//! * the plain `search` entry point honors `SearchConfig::timeout_ms`.
+//! * the plain `search` entry point honors `SearchConfig::timeout_ms`;
+//! * a budget that runs out inside the page-cache revalidation wave — whose
+//!   HEADs may run on pool workers — still fails typed, with nothing
+//!   partial returned and nothing poisoned.
 //!
 //! The metered `MemoryStore` drives a deterministic virtual clock (a GET
 //! costs ~30 virtual ms), so "the deadline passes during the scan" is a
 //! scheduling-independent fact, not a racy sleep.
 
-use rottnest::{Query, Rottnest, RottnestError};
+use rottnest::{IndexKind, Query, Rottnest, RottnestError};
 use rottnest_format::NegScanCache;
 use rottnest_integration::*;
-use rottnest_object_store::{MemoryStore, ObjectStore};
+use rottnest_lake::Table;
+use rottnest_object_store::{MemoryStore, ObjectStore, OutageWindow, RetryPolicy};
 
 /// The standing query: present in every file, so a full scan is needed.
 const PATTERN: &[u8] = b"status S001";
@@ -145,4 +149,83 @@ fn plain_search_honors_configured_timeout() {
     let rot = Rottnest::new(store.as_ref(), "idx", cfg);
     let out = rot.search(&table, &snap, "body", &query()).unwrap();
     assert_eq!(out.matches.len(), 6);
+}
+
+/// A backoff no budget in these tests can fit: a failed request must give
+/// up typed rather than wait.
+fn impatient_table_config() -> rottnest_lake::TableConfig {
+    let mut cfg = small_pages();
+    cfg.retry = RetryPolicy {
+        base_backoff_ms: 10_000_000,
+        max_backoff_ms: 10_000_000,
+        ..RetryPolicy::default()
+    };
+    cfg
+}
+
+fn open_impatient(store: &MemoryStore) -> Table<'_> {
+    Table::open(store, "tbl", impatient_table_config()).unwrap()
+}
+
+#[test]
+fn budget_expiring_during_revalidation_is_typed_at_any_parallelism() {
+    for parallelism in [1, 8] {
+        // Two identical universes, FM-indexed over four files; only A's
+        // data files suffer an outage while a deadline is running.
+        let mut cfg = rot_config();
+        cfg.search.parallelism = parallelism;
+        let store_a = MemoryStore::new();
+        let store_b = MemoryStore::new();
+        for store in [&store_a, &store_b] {
+            let table = make_table(store.as_ref(), 400, 4);
+            Rottnest::new(store.as_ref(), "idx", cfg.clone())
+                .index(&table, IndexKind::Substring, "body")
+                .unwrap()
+                .unwrap();
+        }
+        let (table_a, table_b) = (open_impatient(&store_a), open_impatient(&store_b));
+        let rot_a = Rottnest::new(store_a.as_ref(), "idx", cfg.clone());
+        let rot_b = Rottnest::new(store_b.as_ref(), "idx", cfg.clone());
+        let snap_a = table_a.snapshot().unwrap();
+        let snap_b = table_b.snapshot().unwrap();
+
+        // The index answers (its domain is healthy); the first requests to
+        // the data files are the revalidation HEADs, which all fail. A ten
+        // second budget covers the index phase many times over but not one
+        // backoff.
+        let now = store_a.now_ms();
+        let deadline = now + 10_000;
+        store_a
+            .faults()
+            .schedule_outage(OutageWindow::domain("tbl/data/", now, u64::MAX));
+        let before = store_a.stats();
+        let err = rot_a
+            .search_with_deadline(&table_a, &snap_a, "body", &query(), Some(deadline))
+            .unwrap_err();
+        assert!(
+            matches!(err, RottnestError::DeadlineExceeded { deadline_ms, .. } if deadline_ms == deadline),
+            "parallelism {parallelism}: expected DeadlineExceeded, got {err:?}"
+        );
+        let delta = store_a.stats().since(&before);
+        assert_eq!(delta.heads, 4, "one HEAD per data file, no retry");
+        assert!(
+            store_a.now_ms() < deadline,
+            "the wave must not sleep through the budget"
+        );
+
+        // Outage over: fresh handles (the old ones' breakers saw the
+        // failures) see exactly what the never-aborted universe sees.
+        store_a.faults().clear_outages();
+        let table_a = open_impatient(&store_a);
+        let rot_a = Rottnest::new(store_a.as_ref(), "idx", cfg);
+        let after = rot_a.search(&table_a, &snap_a, "body", &query()).unwrap();
+        let clean = rot_b.search(&table_b, &snap_b, "body", &query()).unwrap();
+        assert_eq!(
+            norm(&snap_a, &after),
+            norm(&snap_b, &clean),
+            "abort poisoned a cache"
+        );
+        assert_eq!(after.matches.len(), 11, "status S001 in rows 1 + 37i < 400");
+        assert_eq!(after.stats.files_brute_scanned, 0, "served by the index");
+    }
 }
