@@ -1,12 +1,11 @@
 //! Index-file construction from Parquet files (§IV-A step 2).
 //!
-//! The builder downloads each new Parquet file once, walks its data pages,
-//! and feeds the page-granular values into the kind-specific index builder
-//! (trie / FM / IVF-PQ). Postings use index-local `file_id`s equal to the
-//! file's ordinal in the coverage list.
+//! A build downloads each new Parquet file once, walks its data pages, and
+//! feeds the decoded pages to the kind's builder (`family`). Postings use
+//! index-local `file_id`s equal to the file's ordinal in the coverage list.
 //!
 //! Download + decode fans out over a bounded scoped pool
-//! ([`RottnestConfig::build_parallelism`] workers) while a **single
+//! ([`crate::RottnestConfig::build_parallelism`] workers) while a **single
 //! in-order consumer** on the caller's thread feeds the kind-specific
 //! builder, so the produced index bytes are identical to the serial path
 //! at every parallelism setting (`tests/tests/build_equivalence.rs` proves
@@ -15,17 +14,11 @@
 //! [`ObjectStore::record_page_cache_bypass`]) so ingest traffic cannot
 //! evict warm probe pages.
 
-use bytes::Bytes;
-use rottnest_bloom::BloomBuilder;
-use rottnest_component::Posting;
-use rottnest_fm::FmBuilder;
-use rottnest_format::{ColumnData, FileMeta, PageTable, ValueRef};
-use rottnest_ivfpq::{IvfPqBuilder, VecPosting};
+use rottnest_format::{ColumnData, FileMeta, PageTable};
 use rottnest_lake::FileEntry;
 use rottnest_object_store::{ordered_pipeline, ObjectStore};
-use rottnest_trie::TrieBuilder;
 
-use crate::meta::{FileCoverage, IndexKind};
+use crate::meta::FileCoverage;
 use crate::rottnest::RottnestConfig;
 use crate::{Result, RottnestError};
 
@@ -49,7 +42,7 @@ pub(crate) fn decode_file_pages(
     path: &str,
     column: &str,
     file_id: u32,
-) -> Result<(FileMeta, PageTable, Vec<DecodedPage>)> {
+) -> Result<(PageTable, Vec<DecodedPage>)> {
     let bytes = store.get(path).map_err(|e| match e {
         rottnest_object_store::StoreError::NotFound(_) => {
             RottnestError::Aborted(format!("{path} vanished during indexing"))
@@ -88,169 +81,52 @@ pub(crate) fn decode_file_pages(
         });
     }
     store.record_page_cache_bypass(pages.len() as u64);
-    Ok((meta, table, pages))
+    Ok((table, pages))
 }
 
-/// Fans `decode_file_pages` over `parallelism` workers and feeds each
-/// file's pages to `feed` strictly in file order on the caller's thread,
-/// returning the coverage records and total row count exactly as the
-/// serial loop accumulated them. `check` runs before each file is
-/// consumed so `index_timeout_ms` can abort mid-build.
-fn for_each_decoded_file(
-    store: &dyn ObjectStore,
-    column: &str,
-    files: &[FileEntry],
-    parallelism: usize,
-    check: &dyn Fn() -> Result<()>,
-    mut feed: impl FnMut(&[DecodedPage]) -> Result<()>,
-) -> Result<(Vec<FileCoverage>, u64)> {
-    let mut coverage = Vec::with_capacity(files.len());
-    let mut total_rows = 0u64;
-    ordered_pipeline(
-        parallelism,
-        store.clock(),
-        files,
-        |file_id, entry| decode_file_pages(store, &entry.path, column, file_id as u32),
-        |i, (_, table, pages)| {
-            check()?;
-            feed(&pages)?;
-            let entry = &files[i];
-            total_rows += entry.rows;
-            coverage.push(FileCoverage {
-                path: entry.path.clone(),
-                rows: entry.rows,
-                page_table: table,
-            });
-            Ok(())
-        },
-    )?;
-    Ok((coverage, total_rows))
+/// One index build: the files to cover and how to read them.
+pub(crate) struct BuildJob<'j> {
+    pub store: &'j dyn ObjectStore,
+    pub config: &'j RottnestConfig,
+    pub column: &'j str,
+    pub files: &'j [FileEntry],
+    /// Polled before each file is consumed, so `index_timeout_ms` aborts
+    /// mid-build rather than after the whole pass.
+    pub check: &'j dyn Fn() -> Result<()>,
 }
 
-/// Builds one index file covering `files`, returning the file image and the
-/// coverage records. `check` is polled between files (and builder bytes are
-/// only assembled after every file passed it), so a timeout aborts
-/// mid-build rather than after the whole pass.
-pub(crate) fn build_index_file(
-    store: &dyn ObjectStore,
-    config: &RottnestConfig,
-    kind: &IndexKind,
-    column: &str,
-    files: &[FileEntry],
-    check: &dyn Fn() -> Result<()>,
-) -> Result<(Bytes, Vec<FileCoverage>, u64)> {
-    let parallelism = config.build_parallelism;
+impl BuildJob<'_> {
+    /// Rows the build would cover.
+    pub(crate) fn total_rows(&self) -> u64 {
+        self.files.iter().map(|f| f.rows).sum()
+    }
 
-    match kind {
-        IndexKind::Uuid { key_len } => {
-            let mut builder = TrieBuilder::new(*key_len as usize)?;
-            let (coverage, total_rows) =
-                for_each_decoded_file(store, column, files, parallelism, check, |pages| {
-                    for page in pages {
-                        let mut last: Option<&[u8]> = None;
-                        for i in 0..page.data.len() {
-                            let key = match page.data.get(i) {
-                                Some(ValueRef::Binary(b)) => b,
-                                Some(ValueRef::Utf8(s)) => s.as_bytes(),
-                                _ => {
-                                    return Err(RottnestError::BadQuery(format!(
-                                        "column {column} is not binary/utf8"
-                                    )))
-                                }
-                            };
-                            if key.len() != *key_len as usize {
-                                return Err(RottnestError::BadQuery(format!(
-                                    "key of {} bytes in {}-byte uuid index",
-                                    key.len(),
-                                    key_len
-                                )));
-                            }
-                            // Consecutive duplicates within a page share one
-                            // posting.
-                            if last != Some(key) {
-                                builder.add(key, Posting::new(page.file_id, page.page_id))?;
-                                last = Some(key);
-                            }
-                        }
-                    }
-                    Ok(())
-                })?;
-            Ok((builder.finish(), coverage, total_rows))
-        }
-        IndexKind::Substring => {
-            let mut builder =
-                FmBuilder::with_options(config.fm.clone()).with_parallelism(parallelism);
-            let (coverage, total_rows) =
-                for_each_decoded_file(store, column, files, parallelism, check, |pages| {
-                    for page in pages {
-                        let posting = Posting::new(page.file_id, page.page_id);
-                        for i in 0..page.data.len() {
-                            match page.data.get(i) {
-                                Some(ValueRef::Utf8(s)) => {
-                                    builder.add_document(posting, s.as_bytes())
-                                }
-                                Some(ValueRef::Binary(b)) => builder.add_document(posting, b),
-                                _ => {
-                                    return Err(RottnestError::BadQuery(format!(
-                                        "column {column} is not text"
-                                    )))
-                                }
-                            }
-                        }
-                    }
-                    Ok(())
-                })?;
-            Ok((builder.finish(), coverage, total_rows))
-        }
-        IndexKind::Vector { dim } => {
-            let mut builder =
-                IvfPqBuilder::new(*dim as usize, config.ivf.clone())?.with_parallelism(parallelism);
-            let (coverage, total_rows) =
-                for_each_decoded_file(store, column, files, parallelism, check, |pages| {
-                    for page in pages {
-                        for i in 0..page.data.len() {
-                            match page.data.get(i) {
-                                Some(ValueRef::VectorF32(v)) => builder.add(
-                                    VecPosting::new(page.file_id, page.page_id, i as u32),
-                                    v,
-                                )?,
-                                _ => {
-                                    return Err(RottnestError::BadQuery(format!(
-                                        "column {column} is not a vector column"
-                                    )))
-                                }
-                            }
-                        }
-                    }
-                    Ok(())
-                })?;
-            Ok((builder.finish()?, coverage, total_rows))
-        }
-        IndexKind::Bloom { key_len } => {
-            let mut builder = BloomBuilder::new(*key_len as usize)?;
-            let (coverage, total_rows) =
-                for_each_decoded_file(store, column, files, parallelism, check, |pages| {
-                    for page in pages {
-                        let mut last: Option<&[u8]> = None;
-                        for i in 0..page.data.len() {
-                            let key = match page.data.get(i) {
-                                Some(ValueRef::Binary(b)) => b,
-                                Some(ValueRef::Utf8(s)) => s.as_bytes(),
-                                _ => {
-                                    return Err(RottnestError::BadQuery(format!(
-                                        "column {column} is not binary/utf8"
-                                    )))
-                                }
-                            };
-                            if last != Some(key) {
-                                builder.add(key, Posting::new(page.file_id, page.page_id))?;
-                                last = Some(key);
-                            }
-                        }
-                    }
-                    Ok(())
-                })?;
-            Ok((builder.finish(), coverage, total_rows))
-        }
+    /// Fans `decode_file_pages` over `build_parallelism` workers and hands
+    /// each file's pages to `feed` strictly in file order on the caller's
+    /// thread, exactly as a serial loop would. Returns the coverage records.
+    pub(crate) fn feed(
+        &self,
+        feed: &mut dyn FnMut(&[DecodedPage]) -> Result<()>,
+    ) -> Result<Vec<FileCoverage>> {
+        let mut coverage = Vec::with_capacity(self.files.len());
+        ordered_pipeline(
+            self.config.build_parallelism,
+            self.store.clock(),
+            self.files,
+            |file_id, entry| {
+                decode_file_pages(self.store, &entry.path, self.column, file_id as u32)
+            },
+            |i, (page_table, pages)| {
+                (self.check)()?;
+                feed(&pages)?;
+                coverage.push(FileCoverage {
+                    path: self.files[i].path.clone(),
+                    rows: self.files[i].rows,
+                    page_table,
+                });
+                Ok(())
+            },
+        )?;
+        Ok(coverage)
     }
 }

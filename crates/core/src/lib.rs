@@ -29,6 +29,13 @@
 //! * **Consistency** — an index file correctly indexes its associated
 //!   Parquet files if they still exist.
 //!
+//! The protocol is kind-agnostic and laid out one module per step —
+//! `rottnest` (client and search entry), `plan` (metadata scan, greedy
+//! cover, probe pass), `exact` and `vector` (one pipeline per query class),
+//! `hedge`, [`probe`] (in-situ reads), `maintain` (index / compact /
+//! vacuum) and [`build`]. What differs per index kind (§V) lives behind one
+//! trait in `family`, one file per kind.
+//!
 //! # Example
 //!
 //! ```
@@ -55,17 +62,21 @@
 //! ```
 
 pub mod build;
-pub mod executor;
+mod exact;
+mod family;
+mod hedge;
 pub mod invariants;
+mod maintain;
 pub mod meta;
+mod plan;
 pub mod probe;
 pub mod query;
 pub mod rottnest;
+mod vector;
 
-pub use executor::SearchConfig;
 pub use meta::{IndexEntry, IndexKind, MetaTable};
 pub use query::{Match, Query, SearchOutcome, SearchStats};
-pub use rottnest::{Rottnest, RottnestConfig};
+pub use rottnest::{Rottnest, RottnestConfig, SearchConfig};
 
 /// Errors raised by the Rottnest protocol layer.
 #[derive(Debug)]

@@ -46,19 +46,13 @@ pub enum IndexKind {
 impl IndexKind {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            IndexKind::Uuid { key_len } => {
-                out.push(0);
-                out.push(*key_len);
-            }
+            IndexKind::Uuid { key_len } => out.extend([0, *key_len]),
             IndexKind::Substring => out.push(1),
             IndexKind::Vector { dim } => {
                 out.push(2);
                 varint::write_u64(out, u64::from(*dim));
             }
-            IndexKind::Bloom { key_len } => {
-                out.push(3);
-                out.push(*key_len);
-            }
+            IndexKind::Bloom { key_len } => out.extend([3, *key_len]),
         }
     }
 
@@ -68,24 +62,21 @@ impl IndexKind {
             .ok_or_else(|| RottnestError::Corrupt("truncated index kind".into()))?;
         *pos += 1;
         Ok(match tag {
-            0 => {
+            0 | 3 => {
                 let key_len = *buf
                     .get(*pos)
                     .ok_or_else(|| RottnestError::Corrupt("truncated key len".into()))?;
                 *pos += 1;
-                IndexKind::Uuid { key_len }
+                if tag == 0 {
+                    IndexKind::Uuid { key_len }
+                } else {
+                    IndexKind::Bloom { key_len }
+                }
             }
             1 => IndexKind::Substring,
             2 => IndexKind::Vector {
                 dim: varint::read_u64(buf, pos)? as u32,
             },
-            3 => {
-                let key_len = *buf
-                    .get(*pos)
-                    .ok_or_else(|| RottnestError::Corrupt("truncated key len".into()))?;
-                *pos += 1;
-                IndexKind::Bloom { key_len }
-            }
             other => {
                 return Err(RottnestError::Corrupt(format!(
                     "unknown index kind {other}"
@@ -181,6 +172,27 @@ impl IndexEntry {
     /// Paths of the covered Parquet files.
     pub fn covered_paths(&self) -> impl Iterator<Item = &str> {
         self.files.iter().map(|f| f.path.as_str())
+    }
+
+    /// Resolves an index-local `(file, page)` posting of this entry's index
+    /// file to the covered file and the file-global row the page starts at.
+    /// A posting beyond the coverage list or the file's page table means
+    /// the index file and its record disagree: `Corrupt`, never a guessed
+    /// row.
+    pub(crate) fn resolve(&self, file: u32, page: u32) -> Result<(&FileCoverage, u64)> {
+        let cov = self.files.get(file as usize).ok_or_else(|| {
+            RottnestError::Corrupt(format!(
+                "posting references file {file} beyond coverage of {}",
+                self.path
+            ))
+        })?;
+        let loc = cov.page_table.page(page as usize).ok_or_else(|| {
+            RottnestError::Corrupt(format!(
+                "posting references page {page} of {} beyond the page table in {}",
+                cov.path, self.path
+            ))
+        })?;
+        Ok((cov, loc.first_row))
     }
 }
 

@@ -6,20 +6,47 @@
 //! the decoded rows, and applies deletion vectors (fetched as one
 //! overlapped wave ahead of the page batch).
 
-use rottnest_format::{DataType, PageCacheSession, PageReader, PageTable, ValueRef};
+use rottnest_format::{ChunkReader, DataType, PageCacheSession, PageReader, PageTable, ValueRef};
 use rottnest_lake::{DeletionVector, FileEntry, Snapshot, Table};
-use rottnest_object_store::{current_deadline_ms, push_deadline, FxHashMap, FxHashSet};
+use rottnest_object_store::{
+    current_deadline_ms, ordered_parallel_map_io, push_deadline, FxHashMap, FxHashSet, ObjectStore,
+};
 
-use crate::executor::parallel_map_io;
+use crate::meta::IndexEntry;
 use crate::query::{Match, SearchStats};
-use crate::Result;
+use crate::{Result, RottnestError};
 
-/// A page to probe: which file (by path + page table) and which page.
+/// A page to probe: which file (by path + page table), which page, and the
+/// file-global row the page starts at (see [`IndexEntry::resolve`]).
 #[derive(Debug, Clone)]
 pub(crate) struct PageRef<'p> {
     pub path: &'p str,
     pub table: &'p PageTable,
     pub page_id: u32,
+    pub first_row: u64,
+}
+
+/// Opens a data file for a brute-force read of `column`: the reader, the
+/// column's ordinal, and its page count across every row group — the pages
+/// a whole-column read covers, reported as page-cache admission bypasses.
+pub(crate) fn open_column<'s>(
+    store: &'s dyn ObjectStore,
+    path: &str,
+    column: &str,
+) -> Result<(ChunkReader<'s>, usize, u64)> {
+    let reader = ChunkReader::open(store, path)?;
+    let col = reader
+        .meta()
+        .schema
+        .index_of(column)
+        .ok_or_else(|| RottnestError::BadQuery(format!("no column {column}")))?;
+    let pages = reader
+        .meta()
+        .row_groups
+        .iter()
+        .map(|g| g.chunks[col].pages.len() as u64)
+        .sum();
+    Ok((reader, col, pages))
 }
 
 /// Loads the deletion vector of every distinct path in `paths` that has
@@ -43,7 +70,8 @@ pub(crate) fn load_dvs<'p>(
     // Units may run on pool workers: re-install the caller's deadline there
     // so a retry backoff inside the wave still fails typed.
     let deadline_ms = current_deadline_ms();
-    let loaded = parallel_map_io(parallelism, table.store().clock(), &entries, |_, entry| {
+    let clock = table.store().clock();
+    let loaded = ordered_parallel_map_io(parallelism, clock, &entries, |_, entry| {
         let _deadline = push_deadline(deadline_ms);
         table.load_dv(entry)
     });
@@ -91,17 +119,13 @@ pub(crate) fn probe_exact(
 
     let mut matches = Vec::new();
     'outer: for (page, data) in pages.iter().zip(&decoded) {
-        let first_row = page
-            .table
-            .page(page.page_id as usize)
-            .map_or(0, |loc| loc.first_row);
         let dv = dvs.get(page.path);
         for i in 0..data.len() {
             let value = data.get(i).expect("in range");
             if !predicate(value) {
                 continue;
             }
-            let row = first_row + i as u64;
+            let row = page.first_row + i as u64;
             if let Some(dv) = dv {
                 if dv.contains(row) {
                     stats.rows_deleted += 1;
@@ -121,16 +145,15 @@ pub(crate) fn probe_exact(
     Ok(matches)
 }
 
-/// Fetches exact vectors for refine candidates: one batched page fetch,
-/// then row extraction. `resolve` maps an index-local file id to its
-/// `(path, page_table)`. A failed page fetch keeps its store fault (typed
-/// deadline expiry, cancellation, degradable transients) visible to the
-/// executor.
-pub(crate) fn fetch_vectors<'p>(
-    store: &dyn rottnest_object_store::ObjectStore,
+/// Fetches exact vectors for refine candidates of `entry`: one batched page
+/// fetch, then row extraction. A failed page fetch keeps its store fault
+/// (typed deadline expiry, cancellation, degradable transients) visible to
+/// the executor.
+pub(crate) fn fetch_vectors(
+    store: &dyn ObjectStore,
     dim: u32,
     candidates: &[rottnest_ivfpq::VecPosting],
-    resolve: &dyn Fn(u32) -> Option<(&'p str, &'p PageTable)>,
+    entry: &IndexEntry,
     session: Option<&PageCacheSession>,
     stats_pages: &mut u64,
 ) -> Result<Vec<Vec<f32>>> {
@@ -142,10 +165,9 @@ pub(crate) fn fetch_vectors<'p>(
     for c in candidates {
         let key = (c.posting.file, c.posting.page);
         if let std::collections::hash_map::Entry::Vacant(e) = page_slot.entry(key) {
-            let (path, table) = resolve(c.posting.file)
-                .ok_or_else(|| IvfError::BadInput(format!("unknown file id {}", c.posting.file)))?;
+            let (cov, _) = entry.resolve(c.posting.file, c.posting.page)?;
             e.insert(order.len());
-            order.push((path, table, c.posting.page as usize));
+            order.push((&cov.path, &cov.page_table, c.posting.page as usize));
         }
     }
     let reader = match session {
@@ -174,7 +196,7 @@ mod tests {
     use super::*;
     use rottnest_format::{ColumnData, Field, RecordBatch, Schema};
     use rottnest_lake::TableConfig;
-    use rottnest_object_store::{MemoryStore, ObjectStore};
+    use rottnest_object_store::MemoryStore;
 
     /// Six files, each with a deletion vector: the six GETs cost one wave of
     /// simulated time once there are six lanes, six at `parallelism = 1`,
@@ -205,6 +227,7 @@ mod tests {
                 path,
                 table,
                 page_id: 0,
+                first_row: 0,
             })
             .collect();
 

@@ -5,8 +5,9 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rottnest::invariants::{verify_all, verify_existence};
-use rottnest::{IndexKind, Match, Query, Rottnest, RottnestConfig};
-use rottnest_format::{ColumnData, DataType, Field, RecordBatch, Schema, WriterOptions};
+use rottnest::meta::{MetaOp, MetaTable};
+use rottnest::{IndexEntry, IndexKind, Match, Query, Rottnest, RottnestConfig, SearchStats};
+use rottnest_format::{ColumnData, DataType, Field, PageTable, RecordBatch, Schema, WriterOptions};
 use rottnest_ivfpq::SearchParams;
 use rottnest_lake::{Table, TableConfig};
 use rottnest_object_store::{FaultKind, MemoryStore, ObjectStore};
@@ -89,164 +90,229 @@ fn setup(rows: u64) -> (std::sync::Arc<MemoryStore>, String) {
     (store, "tbl".to_string())
 }
 
-#[test]
-fn uuid_index_and_search() {
-    let (store, root) = setup(600);
-    let table = Table::open(store.as_ref(), &root, small_pages()).unwrap();
-    let rot = Rottnest::new(store.as_ref(), "idx", config());
-
-    let entry = rot
-        .index(&table, IndexKind::Uuid { key_len: 16 }, "trace_id")
-        .unwrap()
-        .expect("new files indexed");
-    assert_eq!(entry.files.len(), 2);
-    assert_eq!(entry.rows, 600);
-
-    let snap = table.snapshot().unwrap();
-    let key = trace_id(123);
-    let out = rot
-        .search(
-            &table,
-            &snap,
-            "trace_id",
-            &Query::UuidEq { key: &key, k: 10 },
-        )
-        .unwrap();
-    assert_eq!(out.matches.len(), 1);
-    assert_eq!(out.matches[0].row, 123);
-    assert_eq!(
-        out.stats.files_brute_scanned, 0,
-        "fully covered: no brute scan"
-    );
-    assert!(out.stats.pages_probed >= 1);
-
-    // Missing key: no match, still no brute scan needed… but exact top-k
-    // unsatisfied triggers the fallback only for *uncovered* files (none).
-    let missing = trace_id(999_999);
-    let out = rot
-        .search(
-            &table,
-            &snap,
-            "trace_id",
-            &Query::UuidEq {
-                key: &missing,
-                k: 10,
-            },
-        )
-        .unwrap();
-    assert!(out.matches.is_empty());
-
-    verify_all(store.as_ref(), "idx").unwrap();
+/// An owned query of the kind matrix.
+enum Probe {
+    Key(Vec<u8>, usize),
+    Needle(&'static str, usize),
+    Near(Vec<f32>, usize),
 }
 
-#[test]
-fn substring_index_and_search() {
-    let (store, root) = setup(400);
-    let table = Table::open(store.as_ref(), &root, small_pages()).unwrap();
-    let rot = Rottnest::new(store.as_ref(), "idx", config());
-    rot.index(&table, IndexKind::Substring, "body")
-        .unwrap()
-        .unwrap();
-
-    let snap = table.snapshot().unwrap();
-    // "code E0042" appears for i % 100 == 42 → global rows 42, 142, 242,
-    // 342; each file holds 200 rows, so file-local rows are 42 and 142 in
-    // both files.
-    let out = rot
-        .search(
-            &table,
-            &snap,
-            "body",
-            &Query::Substring {
-                pattern: b"code E0042",
-                k: 100,
+impl Probe {
+    fn query(&self) -> Query<'_> {
+        match self {
+            Probe::Key(key, k) => Query::UuidEq { key, k: *k },
+            Probe::Needle(needle, k) => Query::Substring {
+                pattern: needle.as_bytes(),
+                k: *k,
             },
-        )
-        .unwrap();
-    let paths: Vec<String> = snap.files().map(|f| f.path.clone()).collect();
-    let mut got: Vec<(String, u64)> = out
-        .matches
-        .iter()
-        .map(|m| (m.path.clone(), m.row))
-        .collect();
-    got.sort();
-    assert_eq!(
-        got,
-        vec![
-            (paths[0].clone(), 42),
-            (paths[0].clone(), 142),
-            (paths[1].clone(), 42),
-            (paths[1].clone(), 142),
-        ]
-    );
-
-    // k truncates.
-    let out = rot
-        .search(
-            &table,
-            &snap,
-            "body",
-            &Query::Substring {
-                pattern: b"frobnicator",
-                k: 5,
-            },
-        )
-        .unwrap();
-    assert_eq!(out.matches.len(), 5);
-}
-
-#[test]
-fn vector_index_and_search() {
-    let (store, root) = setup(500);
-    let table = Table::open(store.as_ref(), &root, small_pages()).unwrap();
-    let rot = Rottnest::new(store.as_ref(), "idx", config());
-    rot.index(&table, IndexKind::Vector { dim: DIM as u32 }, "embedding")
-        .unwrap()
-        .unwrap();
-
-    let snap = table.snapshot().unwrap();
-    let q = embedding(77);
-    let out = rot
-        .search(
-            &table,
-            &snap,
-            "embedding",
-            &Query::VectorNn {
-                query: &q,
+            // Every list probed and every candidate reranked: exact top-k.
+            Probe::Near(query, k) => Query::VectorNn {
+                query,
                 params: SearchParams {
-                    k: 1,
-                    nprobe: 8,
-                    refine: 64,
+                    k: *k,
+                    nprobe: 16,
+                    refine: 1000,
                 },
             },
-        )
-        .unwrap();
-    assert_eq!(out.matches.len(), 1);
-    assert_eq!(out.matches[0].row, 77, "query vector is a DB vector");
-    assert_eq!(out.matches[0].score, Some(0.0));
+        }
+    }
 }
 
-#[test]
-fn second_index_call_is_noop_and_new_data_gets_new_index() {
-    let (store, root) = setup(200);
-    let table = Table::open(store.as_ref(), &root, small_pages()).unwrap();
-    let rot = Rottnest::new(store.as_ref(), "idx", config());
-    assert!(rot
-        .index(&table, IndexKind::Substring, "body")
-        .unwrap()
-        .is_some());
-    assert!(rot
-        .index(&table, IndexKind::Substring, "body")
-        .unwrap()
-        .is_none());
+/// A match as (file ordinal in the snapshot, row, score): data file names
+/// carry a process-wide sequence number, so paths differ between universes.
+type Hit = (usize, u64, Option<f32>);
 
+/// Brute-force ground truth for `probe` over column `col` of `snap`: every
+/// live matching row for exact probes, the exact top-k for `Near`.
+fn oracle(
+    table: &Table<'_>,
+    snap: &rottnest_lake::Snapshot,
+    col: usize,
+    probe: &Probe,
+) -> Vec<Hit> {
+    use rottnest_format::ValueRef;
+    let mut hits: Vec<Hit> = Vec::new();
+    for (ordinal, f) in snap.files().enumerate() {
+        let reader = rottnest_format::ChunkReader::open(table.store(), &f.path).unwrap();
+        let data = reader.read_column(col).unwrap();
+        let dv = table.load_dv(f).unwrap().unwrap_or_default();
+        for i in (0..data.len()).filter(|&i| !dv.contains(i as u64)) {
+            let score = match (probe, data.get(i).unwrap()) {
+                (Probe::Key(key, _), ValueRef::Binary(b)) if b == &key[..] => None,
+                (Probe::Needle(needle, _), ValueRef::Utf8(s)) if s.contains(needle) => None,
+                (Probe::Near(q, _), ValueRef::VectorF32(v)) => Some(rottnest_ivfpq::l2_sq(q, v)),
+                _ => continue,
+            };
+            hits.push((ordinal, i as u64, score));
+        }
+    }
+    if let Probe::Near(_, k) = probe {
+        hits.sort_by(|a, b| {
+            let by_score = a.2.unwrap().total_cmp(&b.2.unwrap());
+            by_score.then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
+        });
+        hits.truncate(*k);
+    }
+    hits
+}
+
+/// `SearchStats` with the counters that depend on process-wide cache state
+/// (shared with whatever other tests run in this process) zeroed.
+fn comparable(mut stats: SearchStats) -> SearchStats {
+    stats.cache_hits = 0;
+    stats.cache_misses = 0;
+    stats.cache_bytes_saved = 0;
+    stats.page_cache_hits = 0;
+    stats.page_cache_misses = 0;
+    stats.page_cache_bytes_saved = 0;
+    stats.dedup_hits = 0;
+    stats
+}
+
+/// Drives one kind through index → search → append → index → compact →
+/// vacuum → search in a fresh universe at `parallelism`, checking every
+/// search against the brute-force oracle, and returns the transcript of
+/// (hits, stats) so the caller can compare widths.
+fn kind_lifecycle(
+    kind: IndexKind,
+    column: &str,
+    probes: &[Probe],
+    parallelism: usize,
+) -> Vec<(Vec<Hit>, SearchStats)> {
+    let store = MemoryStore::new(); // metered: vacuum reads the clock
+    let table = Table::create(store.as_ref(), "tbl", &schema(), small_pages()).unwrap();
+    let mut cfg = config();
+    cfg.index_timeout_ms = 60_000;
+    cfg.search.parallelism = parallelism;
+    let rot = Rottnest::new(store.as_ref(), "idx", cfg);
+    let col = schema().index_of(column).unwrap();
+    let exact = !matches!(kind, IndexKind::Vector { .. });
+    let mut transcript = Vec::new();
+    // Searches every probe at the current snapshot; `covered` says no file
+    // is left to the brute-force pass.
+    let mut search_all = |phase: &str, covered: Option<u64>| {
+        let snap = table.snapshot().unwrap();
+        let ordinal = |path: &str| snap.files().position(|f| f.path == path).unwrap();
+        for (i, probe) in probes.iter().enumerate() {
+            let what = format!("{kind:?} x{parallelism} {phase} probe {i}");
+            let query = probe.query();
+            let out = rot.search(&table, &snap, column, &query).unwrap();
+            let got: Vec<Hit> = out
+                .matches
+                .iter()
+                .map(|m| (ordinal(&m.path), m.row, m.score))
+                .collect();
+            let want = oracle(&table, &snap, col, probe);
+            if exact {
+                // Any k of the true matches, each at most once.
+                let distinct: std::collections::BTreeSet<(usize, u64)> =
+                    got.iter().map(|hit| (hit.0, hit.1)).collect();
+                assert_eq!(distinct.len(), got.len(), "{what}");
+                assert_eq!(got.len(), want.len().min(query.k()), "{what}");
+                assert!(got.iter().all(|hit| want.contains(hit)), "{what}");
+                if !got.is_empty() && covered.is_some() {
+                    assert!(out.stats.pages_probed >= 1, "{what}");
+                }
+            } else {
+                assert_eq!(got, want, "{what}");
+            }
+            if let Some(index_files) = covered {
+                assert_eq!(out.stats.files_brute_scanned, 0, "{what}");
+                assert_eq!(out.stats.index_files_queried, index_files, "{what}");
+            } else if !exact {
+                assert_eq!(
+                    out.stats.files_brute_scanned, 2,
+                    "{what}: scoring scans all"
+                );
+            }
+            transcript.push((got, comparable(out.stats)));
+        }
+    };
+
+    // Two files, one index over both; a second call has nothing to do.
+    table.append(&batch(0..100)).unwrap();
+    table.append(&batch(100..200)).unwrap();
+    let first = rot.index(&table, kind, column).unwrap().expect("new files");
+    assert_eq!((first.kind, first.files.len(), first.rows), (kind, 2, 200));
+    assert!(rot.index(&table, kind, column).unwrap().is_none());
+    let victim = first.files[0].path.clone();
+    table.delete_rows(&victim, &[42]).unwrap();
+    search_all("covered", Some(1));
+
+    // Only the new file is indexed.
     table.append(&batch(200..300)).unwrap();
-    let e = rot
-        .index(&table, IndexKind::Substring, "body")
-        .unwrap()
-        .unwrap();
-    assert_eq!(e.files.len(), 1, "only the new file is indexed");
+    let second = rot.index(&table, kind, column).unwrap().unwrap();
+    assert_eq!(second.files.len(), 1);
     assert_eq!(rot.meta().scan().unwrap().len(), 2);
+
+    // Two unindexed files: the brute-force pass, twice so the second pass
+    // meets the negative-scan cache the first one fed.
+    table.append(&batch(300..350)).unwrap();
+    table.append(&batch(350..400)).unwrap();
+    search_all("uncovered", None);
+    search_all("uncovered again", None);
+
+    // Three records swapped for one.
+    rot.index(&table, kind, column).unwrap().unwrap();
+    let merged = rot.compact(kind, column).unwrap();
+    assert_eq!(merged.len(), 1);
+    let entries = rot.meta().scan().unwrap();
+    assert_eq!(entries.len(), 1);
+    assert_eq!(entries[0].files.len(), 5);
+    verify_all(store.as_ref(), "idx").unwrap();
+
+    // The replaced files are too young to delete, then old enough.
+    let report = rot.vacuum(&table).unwrap();
+    assert_eq!((report.objects_deleted, report.objects_spared), (0, 3));
+    assert_eq!(store.list("idx/files/").unwrap().len(), 4);
+    store.clock().unwrap().advance_ms(61_000);
+    assert_eq!(rot.vacuum(&table).unwrap().objects_deleted, 3);
+    assert_eq!(store.list("idx/files/").unwrap().len(), 1);
+    search_all("compacted", Some(1));
+    verify_all(store.as_ref(), "idx").unwrap();
+    transcript
+}
+
+/// Every index kind through the whole protocol against the brute-force
+/// oracle, with matches and stats identical at fan-out widths 1 and 8.
+#[test]
+fn kind_matrix_lifecycle_matches_oracle_at_any_width() {
+    let keys = || {
+        vec![
+            Probe::Key(trace_id(42), 10), // deleted after indexing
+            Probe::Key(trace_id(123), 10),
+            Probe::Key(trace_id(250), 10),
+            Probe::Key(trace_id(320), 10),
+            Probe::Key(trace_id(11), 1), // the index alone satisfies k
+            Probe::Key(trace_id(999_999), 10),
+        ]
+    };
+    let needles = vec![
+        Probe::Needle("code E0042", 100),
+        Probe::Needle("code E0055", 10),
+        Probe::Needle("frobnicator", 5), // k truncates
+        Probe::Needle("event 3", 20),    // cutoff inside the brute-force pass
+        Probe::Needle("no such needle", 10),
+    ];
+    let neighbours = vec![
+        Probe::Near(embedding(77), 1), // a stored vector: distance 0
+        Probe::Near(embedding(333), 3),
+        Probe::Near(vec![21.0; DIM], 10),
+    ];
+    let dim = DIM as u32;
+    for (kind, column, probes) in [
+        (IndexKind::Uuid { key_len: 16 }, "trace_id", keys()),
+        (IndexKind::Bloom { key_len: 16 }, "trace_id", keys()),
+        (IndexKind::Substring, "body", needles),
+        (IndexKind::Vector { dim }, "embedding", neighbours),
+    ] {
+        let serial = kind_lifecycle(kind, column, &probes, 1);
+        let wide = kind_lifecycle(kind, column, &probes, 8);
+        assert_eq!(serial, wide, "{kind:?}: widths 1 and 8 disagree");
+        if let IndexKind::Vector { .. } = kind {
+            assert_eq!(serial[0].0, vec![(0, 77, Some(0.0))]);
+        }
+    }
 }
 
 #[test]
@@ -379,122 +445,6 @@ fn deletion_vectors_filter_matches() {
     );
     assert_eq!(out.matches[0].path, snap.files().nth(1).unwrap().path);
     assert!(out.stats.rows_deleted >= 1);
-}
-
-#[test]
-fn compact_merges_indexes_and_search_is_unchanged() {
-    let store = MemoryStore::unmetered();
-    let table = Table::create(store.as_ref(), "tbl", &schema(), small_pages()).unwrap();
-    let rot = Rottnest::new(store.as_ref(), "idx", config());
-
-    // Four appends, four index files.
-    for i in 0..4u64 {
-        table.append(&batch(i * 100..(i + 1) * 100)).unwrap();
-        rot.index(&table, IndexKind::Uuid { key_len: 16 }, "trace_id")
-            .unwrap()
-            .unwrap();
-    }
-    assert_eq!(rot.meta().scan().unwrap().len(), 4);
-
-    let merged = rot
-        .compact(IndexKind::Uuid { key_len: 16 }, "trace_id")
-        .unwrap();
-    assert_eq!(merged.len(), 1);
-    let entries = rot.meta().scan().unwrap();
-    assert_eq!(entries.len(), 1, "four records swapped for one");
-    assert_eq!(entries[0].files.len(), 4);
-
-    let snap = table.snapshot().unwrap();
-    for i in [5u64, 150, 250, 399] {
-        let key = trace_id(i);
-        let out = rot
-            .search(
-                &table,
-                &snap,
-                "trace_id",
-                &Query::UuidEq { key: &key, k: 3 },
-            )
-            .unwrap();
-        assert_eq!(out.matches.len(), 1, "key {i}");
-        assert_eq!(out.matches[0].row, i % 100);
-        assert_eq!(out.stats.index_files_queried, 1);
-    }
-    verify_all(store.as_ref(), "idx").unwrap();
-}
-
-#[test]
-fn compact_merges_fm_indexes() {
-    let store = MemoryStore::unmetered();
-    let table = Table::create(store.as_ref(), "tbl", &schema(), small_pages()).unwrap();
-    let rot = Rottnest::new(store.as_ref(), "idx", config());
-    for i in 0..3u64 {
-        table.append(&batch(i * 100..(i + 1) * 100)).unwrap();
-        rot.index(&table, IndexKind::Substring, "body")
-            .unwrap()
-            .unwrap();
-    }
-    rot.compact(IndexKind::Substring, "body").unwrap();
-    assert_eq!(rot.meta().scan().unwrap().len(), 1);
-
-    let snap = table.snapshot().unwrap();
-    let out = rot
-        .search(
-            &table,
-            &snap,
-            "body",
-            &Query::Substring {
-                pattern: b"code E0055",
-                k: 10,
-            },
-        )
-        .unwrap();
-    let mut rows: Vec<u64> = out.matches.iter().map(|m| m.row).collect();
-    rows.sort_unstable();
-    assert_eq!(rows, vec![55, 55, 55]); // one per file, file-local row 55
-}
-
-#[test]
-fn vacuum_drops_replaced_indexes_but_respects_timeout() {
-    let store = MemoryStore::new(); // metered: clock advances
-    let table = Table::create(store.as_ref(), "tbl", &schema(), small_pages()).unwrap();
-    let mut cfg = config();
-    cfg.index_timeout_ms = 60_000;
-    let rot = Rottnest::new(store.as_ref(), "idx", cfg);
-
-    for i in 0..3u64 {
-        table.append(&batch(i * 50..(i + 1) * 50)).unwrap();
-        rot.index(&table, IndexKind::Uuid { key_len: 16 }, "trace_id")
-            .unwrap()
-            .unwrap();
-    }
-    rot.compact(IndexKind::Uuid { key_len: 16 }, "trace_id")
-        .unwrap();
-
-    // Right after compaction, the three replaced files are too young.
-    let report = rot.vacuum(&table).unwrap();
-    assert_eq!(report.objects_deleted, 0);
-    assert_eq!(report.objects_spared, 3);
-    assert_eq!(store.list("idx/files/").unwrap().len(), 4);
-
-    // After the timeout they go.
-    store.clock().unwrap().advance_ms(61_000);
-    let report = rot.vacuum(&table).unwrap();
-    assert_eq!(report.objects_deleted, 3);
-    assert_eq!(store.list("idx/files/").unwrap().len(), 1);
-
-    // Search still works off the merged index.
-    let snap = table.snapshot().unwrap();
-    let key = trace_id(120);
-    let out = rot
-        .search(
-            &table,
-            &snap,
-            "trace_id",
-            &Query::UuidEq { key: &key, k: 1 },
-        )
-        .unwrap();
-    assert_eq!(out.matches.len(), 1);
-    verify_all(store.as_ref(), "idx").unwrap();
 }
 
 #[test]
@@ -807,6 +757,43 @@ fn index_timeout_aborts_before_commit() {
     verify_existence(store.as_ref(), "idx").unwrap();
 }
 
+/// `compact` runs under the same budget as `index`: a merge that outlives
+/// `index_timeout_ms` must not commit an object vacuum may already delete.
+#[test]
+fn compact_timeout_aborts_before_commit() {
+    let store = MemoryStore::new(); // latency model advances the clock
+    let table = Table::create(store.as_ref(), "tbl", &schema(), small_pages()).unwrap();
+    let indexer = Rottnest::new(store.as_ref(), "idx", config());
+    for i in 0..2u64 {
+        table.append(&batch(i * 50..(i + 1) * 50)).unwrap();
+        indexer
+            .index(&table, IndexKind::Substring, "body")
+            .unwrap()
+            .unwrap();
+    }
+    let before = indexer.meta().scan().unwrap();
+
+    // A budget the planning scan just fits in, and the merge cannot.
+    let clock = store.clock().unwrap();
+    let (_, scan_us) = clock.time(|| indexer.meta().scan().unwrap());
+    let mut cfg = config();
+    cfg.index_timeout_ms = scan_us.div_ceil(1000) + 1;
+    let hasty = Rottnest::new(store.as_ref(), "idx", cfg.clone());
+    let err = hasty.compact(IndexKind::Substring, "body").unwrap_err();
+    assert!(matches!(err, rottnest::RottnestError::Aborted(_)), "{err}");
+    // Nothing was committed; the merged upload is an orphan.
+    assert_eq!(indexer.meta().scan().unwrap(), before);
+    assert_eq!(store.list("idx/files/").unwrap().len(), 3);
+    verify_all(store.as_ref(), "idx").unwrap();
+
+    // Vacuum reclaims the orphan once it is older than the budget.
+    clock.advance_ms(cfg.index_timeout_ms);
+    let report = hasty.vacuum(&table).unwrap();
+    assert_eq!((report.records_removed, report.objects_deleted), (0, 1));
+    assert_eq!(store.list("idx/files/").unwrap().len(), 2);
+    verify_all(store.as_ref(), "idx").unwrap();
+}
+
 #[test]
 fn matches_report_correct_paths() {
     let (store, root) = setup(100);
@@ -971,90 +958,6 @@ fn metadata_checkpoint_reduces_plan_requests() {
 }
 
 #[test]
-fn bloom_index_serves_uuid_queries_with_in_situ_filtering() {
-    let (store, root) = setup(400);
-    let table = Table::open(store.as_ref(), &root, small_pages()).unwrap();
-    let rot = Rottnest::new(store.as_ref(), "idx", config());
-
-    // Index with the Bloom kind instead of the trie.
-    let entry = rot
-        .index(&table, IndexKind::Bloom { key_len: 16 }, "trace_id")
-        .unwrap()
-        .unwrap();
-    assert!(matches!(entry.kind, IndexKind::Bloom { key_len: 16 }));
-
-    let snap = table.snapshot().unwrap();
-    // Indexed keys are always found (no false negatives)…
-    for i in [0u64, 123, 399] {
-        let key = trace_id(i);
-        let out = rot
-            .search(
-                &table,
-                &snap,
-                "trace_id",
-                &Query::UuidEq { key: &key, k: 5 },
-            )
-            .unwrap();
-        assert_eq!(out.matches.len(), 1, "key {i}");
-        assert_eq!(out.matches[0].row, i % 200);
-        assert_eq!(out.stats.files_brute_scanned, 0);
-    }
-    // …and misses return nothing (any filter false positives are killed by
-    // the in-situ probe).
-    let missing = trace_id(5_000_000);
-    let out = rot
-        .search(
-            &table,
-            &snap,
-            "trace_id",
-            &Query::UuidEq {
-                key: &missing,
-                k: 5,
-            },
-        )
-        .unwrap();
-    assert!(out.matches.is_empty());
-    verify_all(store.as_ref(), "idx").unwrap();
-}
-
-#[test]
-fn bloom_compaction_and_vacuum() {
-    let store = MemoryStore::new();
-    let table = Table::create(store.as_ref(), "tbl", &schema(), small_pages()).unwrap();
-    let mut cfg = config();
-    cfg.index_timeout_ms = 1_000;
-    let rot = Rottnest::new(store.as_ref(), "idx", cfg);
-    for i in 0..3u64 {
-        table.append(&batch(i * 80..(i + 1) * 80)).unwrap();
-        rot.index(&table, IndexKind::Bloom { key_len: 16 }, "trace_id")
-            .unwrap()
-            .unwrap();
-    }
-    let merged = rot
-        .compact(IndexKind::Bloom { key_len: 16 }, "trace_id")
-        .unwrap();
-    assert_eq!(merged.len(), 1);
-    store.clock().unwrap().advance_ms(2_000);
-    rot.vacuum(&table).unwrap();
-
-    let snap = table.snapshot().unwrap();
-    for i in [10u64, 100, 230] {
-        let key = trace_id(i);
-        let out = rot
-            .search(
-                &table,
-                &snap,
-                "trace_id",
-                &Query::UuidEq { key: &key, k: 3 },
-            )
-            .unwrap();
-        assert_eq!(out.matches.len(), 1, "key {i}");
-        assert_eq!(out.stats.index_files_queried, 1);
-    }
-    verify_all(store.as_ref(), "idx").unwrap();
-}
-
-#[test]
 fn bloom_index_is_smaller_than_trie() {
     let (store, root) = setup(2000);
     let table = Table::open(store.as_ref(), &root, small_pages()).unwrap();
@@ -1074,4 +977,100 @@ fn bloom_index_is_smaller_than_trie() {
         be.size,
         te.size
     );
+}
+
+/// Replaces the only committed record with `edit` applied to it.
+fn recommit(rot: &Rottnest<'_>, entry: &IndexEntry, edit: impl Fn(&mut IndexEntry)) {
+    rot.meta()
+        .commit_with(4, |version| {
+            let mut edited = entry.clone();
+            edited.id = MetaTable::id_for(version, 0);
+            edit(&mut edited);
+            vec![MetaOp::Remove(entry.id), MetaOp::Add(Box::new(edited))]
+        })
+        .unwrap();
+}
+
+/// A posting the committed record cannot resolve — its file beyond the
+/// coverage list, or its page beyond the file's page table — is `Corrupt`
+/// on every path: never a silently dropped candidate, never a guessed row.
+#[test]
+fn postings_beyond_the_committed_coverage_are_corrupt() {
+    let dim = DIM as u32;
+    for (kind, column) in [
+        (IndexKind::Vector { dim }, "embedding"),
+        (IndexKind::Uuid { key_len: 16 }, "trace_id"),
+    ] {
+        // The last row of the last file, and every vector as a candidate.
+        let key = trace_id(399);
+        let near = embedding(399);
+        let queries = |refine| match kind {
+            IndexKind::Vector { .. } => Query::VectorNn {
+                query: &near,
+                params: SearchParams {
+                    k: 400,
+                    nprobe: 16,
+                    refine,
+                },
+            },
+            _ => Query::UuidEq { key: &key, k: 5 },
+        };
+        type Edit = fn(&mut IndexEntry);
+        let edits: [(&str, Edit); 2] = [
+            ("coverage one file short", |e| {
+                e.files.pop();
+            }),
+            ("page table one page short", |e| {
+                let cov = e.files.last_mut().unwrap();
+                let mut pages = cov.page_table.pages().to_vec();
+                pages.pop();
+                cov.page_table = PageTable::from_locations(pages, cov.rows);
+            }),
+        ];
+        for (what, edit) in edits {
+            let (store, root) = setup(400);
+            let table = Table::open(store.as_ref(), &root, small_pages()).unwrap();
+            let rot = Rottnest::new(store.as_ref(), "idx", config());
+            let entry = rot.index(&table, kind, column).unwrap().unwrap();
+            assert!(entry.files[1].page_table.len() >= 2);
+            recommit(&rot, &entry, edit);
+            let snap = table.snapshot().unwrap();
+            for refine in [0, 64] {
+                let err = rot
+                    .search(&table, &snap, column, &queries(refine))
+                    .unwrap_err();
+                assert!(
+                    matches!(err, rottnest::RottnestError::Corrupt(_)),
+                    "{kind:?}, {what}, refine {refine}: {err}"
+                );
+            }
+        }
+    }
+}
+
+/// The merged FM file keeps the layout `config.fm` built its sources with.
+#[test]
+fn compaction_keeps_the_configured_fm_layout() {
+    let store = MemoryStore::unmetered();
+    let table = Table::create(store.as_ref(), "tbl", &schema(), small_pages()).unwrap();
+    let mut cfg = config();
+    cfg.fm = rottnest_fm::FmOptions {
+        block_size: 512,
+        sample_rate: 4,
+    };
+    let rot = Rottnest::new(store.as_ref(), "idx", cfg);
+    for i in 0..2u64 {
+        table.append(&batch(i * 100..(i + 1) * 100)).unwrap();
+        let built = rot
+            .index(&table, IndexKind::Substring, "body")
+            .unwrap()
+            .unwrap();
+        let index = rottnest_fm::FmIndex::open(store.as_ref(), &built.path).unwrap();
+        assert_eq!(index.sample_rate(), 4);
+    }
+    let merged = rot.compact(IndexKind::Substring, "body").unwrap();
+    let index = rottnest_fm::FmIndex::open(store.as_ref(), &merged[0].path).unwrap();
+    assert_eq!(index.sample_rate(), 4);
+    assert_eq!(index.num_blocks(), index.len().div_ceil(512));
+    assert!(index.num_blocks() > 1);
 }

@@ -4,9 +4,12 @@
 #
 # Runs cargo fmt --check, the release build, clippy --all-targets with
 # warnings as errors, cargo bench --no-run (the criterion suites must
-# compile), cargo doc with warnings as errors, and the full test suite.
-# The real-stack benchmark smoke (benchmark/run.sh) and the kernel gate
-# (scripts/bench_gate.sh) are CI's separate bench-gate job.
+# compile), cargo doc with warnings as errors, a build of the benchmark
+# harness (benchmark/ may not change with the library, so an API break
+# against it must fail here), and the full test suite; on success prints the
+# ROADMAP's Rust LoC figure. The real-stack benchmark smoke
+# (benchmark/run.sh) and the kernel gate (scripts/bench_gate.sh) are CI's
+# separate bench-gate job.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast            skip the release build and lint debug profile only —
@@ -48,6 +51,9 @@ fi
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
+echo "==> cargo build --manifest-path benchmark/Cargo.toml (the harness compiles)"
+cargo build --offline --quiet --manifest-path benchmark/Cargo.toml
+
 if [ "${CHECK_SKIP_SOAK:-0}" = 1 ]; then
   echo "==> cargo test -q (chaos + overload + outage soaks skipped)"
   cargo test -q -- --skip chaos_soak_lifecycle --skip overload_soak --skip outage_soak
@@ -56,4 +62,4 @@ else
   cargo test -q
 fi
 
-echo "tier-1 gate: OK"
+echo "tier-1 gate: OK ($(find crates tests examples -name '*.rs' | xargs cat | wc -l) Rust lines under crates/ tests/ examples/)"

@@ -9,6 +9,9 @@
 #   cargo test   --release --offline
 #   cargo clippy --release --offline -- -D warnings
 #
+# and closes by building the benchmark harness, which may not change with the
+# library: an API break against it fails here, not in the bench job.
+#
 # Usage: scripts/offline_check.sh <crate|tests-file>...
 #   crate        a directory under crates/ (fm, format, object-store, ...):
 #                its unit tests and its own tests/*.rs
@@ -235,5 +238,8 @@ if [ "${#lint_lib_only[@]}" -gt 0 ]; then
   echo "==> cargo clippy --release --offline --lib ${packages[*]} -- -D warnings"
   cargo clippy --release --offline --lib "${packages[@]}" -- -D warnings
 fi
+
+echo "==> cargo build --offline --manifest-path benchmark/Cargo.toml (the harness compiles)"
+cargo build --offline --quiet --manifest-path "$root/benchmark/Cargo.toml"
 
 echo "offline check: OK"
