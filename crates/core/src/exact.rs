@@ -32,6 +32,7 @@ type FileScan = (Vec<(u64, bool)>, u64);
 impl Rottnest<'_> {
     /// Runs an exact query over the plan: index probes, in-situ probe of
     /// the pages they name, then the brute-force pass if matches are short.
+    /// `None`: the cached plan was stale (see [`Rottnest::probe_selected`]).
     pub(crate) fn exact_search(
         &self,
         cx: &Search<'_>,
@@ -39,7 +40,7 @@ impl Rottnest<'_> {
         selected: &[IndexEntry],
         mut uncovered: Vec<FileEntry>,
         mut stats: SearchStats,
-    ) -> Result<SearchOutcome> {
+    ) -> Result<Option<SearchOutcome>> {
         // 2. Query indexes, filtering postings outside the snapshot.
         let probed =
             self.probe_selected(cx, selected, &mut uncovered, &mut stats, |store, entry| {
@@ -48,6 +49,9 @@ impl Rottnest<'_> {
                     Postings::Scored(_) => Err(family::unserved("scoring")),
                 }
             })?;
+        let Some(probed) = probed else {
+            return Ok(None);
+        };
         let mut pages: Vec<PageRef<'_>> = Vec::new();
         // Keyed by (path, page): concurrently-built indexes may cover the
         // same file (§IV-A allows the wasteful overlap), and the same page
@@ -87,7 +91,7 @@ impl Rottnest<'_> {
             matches.extend(self.brute_exact(cx, exact, &uncovered, need, &mut stats)?);
         }
         matches.truncate(exact.k);
-        Ok(SearchOutcome { matches, stats })
+        Ok(Some(SearchOutcome { matches, stats }))
     }
 
     /// Brute-force scan of uncovered files for exact queries — "the

@@ -39,16 +39,32 @@ impl Rottnest<'_> {
         Ok(())
     }
 
+    /// Commits what `make_ops` builds, trying `*next` — where the caller's
+    /// scan or last commit left the log — before any LIST, and leaves
+    /// `*next` after the commit. This client then knows the log moved: its
+    /// cached plan goes, so its next search LISTs straight away instead of
+    /// probing for freshness first.
+    fn commit_ops(&self, next: &mut u64, make_ops: impl FnMut(u64) -> Vec<MetaOp>) -> Result<()> {
+        let retries = self.config().meta_retries;
+        *next = self.meta().commit_from(Some(*next), retries, make_ops)? + 1;
+        *self.plan_cache.lock().expect("plan cache lock") = None;
+        Ok(())
+    }
+
     /// Commits `entry` (its id is assigned from the commit version) and the
     /// removal of the records it `replaces`, atomically.
-    fn commit_entry(&self, mut entry: IndexEntry, replaces: &[u64]) -> Result<IndexEntry> {
-        self.meta()
-            .commit_with(self.config().meta_retries, |version| {
-                entry.id = MetaTable::id_for(version, 0);
-                let mut ops: Vec<MetaOp> = replaces.iter().map(|&id| MetaOp::Remove(id)).collect();
-                ops.push(MetaOp::Add(Box::new(entry.clone())));
-                ops
-            })?;
+    fn commit_entry(
+        &self,
+        next: &mut u64,
+        mut entry: IndexEntry,
+        replaces: &[u64],
+    ) -> Result<IndexEntry> {
+        self.commit_ops(next, |version| {
+            entry.id = MetaTable::id_for(version, 0);
+            let mut ops: Vec<MetaOp> = replaces.iter().map(|&id| MetaOp::Remove(id)).collect();
+            ops.push(MetaOp::Add(Box::new(entry.clone())));
+            ops
+        })?;
         Ok(entry)
     }
 
@@ -65,9 +81,8 @@ impl Rottnest<'_> {
         let start_ms = self.store().now_ms();
         // 1. Plan.
         let snapshot = table.snapshot()?;
-        let indexed: FxHashSet<String> = self
-            .meta()
-            .scan()?
+        let (entries, mut next) = self.meta().scan_for_commit()?;
+        let indexed: FxHashSet<String> = entries
             .iter()
             .filter(|e| e.kind.compatible(&kind) && e.column == column)
             .flat_map(|e| e.covered_paths().map(str::to_string))
@@ -113,7 +128,7 @@ impl Rottnest<'_> {
             created_ms: self.store().now_ms(),
             files,
         };
-        self.commit_entry(entry, &[]).map(Some)
+        self.commit_entry(&mut next, entry, &[]).map(Some)
     }
 
     /// §IV-C: merges small index files of one kind/column (bin packing),
@@ -122,9 +137,8 @@ impl Rottnest<'_> {
     pub fn compact(&self, kind: IndexKind, column: &str) -> Result<Vec<IndexEntry>> {
         let start_ms = self.store().now_ms();
         // 1. Plan.
-        let mut small: Vec<IndexEntry> = self
-            .meta()
-            .scan()?
+        let (entries, mut next) = self.meta().scan_for_commit()?;
+        let mut small: Vec<IndexEntry> = entries
             .into_iter()
             .filter(|e| {
                 e.kind.compatible(&kind)
@@ -163,7 +177,7 @@ impl Rottnest<'_> {
                 files: bin.iter().flat_map(|e| e.files.iter().cloned()).collect(),
             };
             let replaces: Vec<u64> = bin.iter().map(|e| e.id).collect();
-            created.push(self.commit_entry(entry, &replaces)?);
+            created.push(self.commit_entry(&mut next, entry, &replaces)?);
         }
         Ok(created)
     }
@@ -187,7 +201,7 @@ impl Rottnest<'_> {
         let snapshot = table.snapshot()?;
         let active: FxHashSet<&str> = snapshot.files().map(|f| f.path.as_str()).collect();
         let meta = self.meta();
-        let entries = meta.scan()?;
+        let (entries, mut next) = meta.scan_for_commit()?;
 
         // 1. Plan: greedy cover per (kind, column).
         let mut groups: FxHashMap<(&str, &'static str), Vec<&IndexEntry>> = FxHashMap::default();
@@ -212,7 +226,7 @@ impl Rottnest<'_> {
             ..Default::default()
         };
         if !doomed.is_empty() {
-            meta.commit_with(self.config().meta_retries, |_| {
+            self.commit_ops(&mut next, |_| {
                 doomed.iter().map(|&id| MetaOp::Remove(id)).collect()
             })?;
         }

@@ -251,13 +251,18 @@ impl<'a> MetaTable<'a> {
         TxLog::new(self.store, self.root.clone())
     }
 
-    /// One LIST of the table's log. Planning asks it for the latest
-    /// version (the plan-cache revalidation probe: the log at a given
-    /// version is immutable, so an unchanged version proves a previous scan
-    /// is still current) and, on a miss, replays from the same listing with
-    /// [`MetaTable::scan_listed`] — one LIST either way.
+    /// One LIST of the table's log. A plan-cache miss asks it for the latest
+    /// version and replays from the same listing with
+    /// [`MetaTable::scan_listed`] — one LIST, not two.
     pub fn listing(&self) -> Result<LogListing> {
         self.log().listing().map_err(RottnestError::Lake)
+    }
+
+    /// Whether a commit after `version` exists: one HEAD, no LIST
+    /// ([`TxLog::moved_past`]). The log at a given version is immutable, so
+    /// `false` proves a scan replayed at `version` is still current.
+    pub fn moved_past(&self, version: u64) -> Result<bool> {
+        self.log().moved_past(version).map_err(RottnestError::Lake)
     }
 
     /// Latest committed log version, or `None` for an empty table. Costs
@@ -269,10 +274,17 @@ impl<'a> MetaTable<'a> {
     /// Replays the log into the current set of records, keyed by id. One
     /// LIST serves both the version probe and the replay.
     pub fn scan(&self) -> Result<Vec<IndexEntry>> {
+        Ok(self.scan_for_commit()?.0)
+    }
+
+    /// [`MetaTable::scan`] plus the version the next commit lands at if
+    /// nobody else commits first (the replayed version plus one; 0 for an
+    /// empty log) — what [`MetaTable::commit_from`] tries before it LISTs.
+    pub(crate) fn scan_for_commit(&self) -> Result<(Vec<IndexEntry>, u64)> {
         let listing = self.listing()?;
         match listing.latest_version() {
-            None => Ok(Vec::new()),
-            Some(latest) => self.scan_listed(&listing, latest),
+            None => Ok((Vec::new(), 0)),
+            Some(latest) => Ok((self.scan_listed(&listing, latest)?, latest + 1)),
         }
     }
 
@@ -313,14 +325,31 @@ impl<'a> MetaTable<'a> {
     pub fn commit_with(
         &self,
         max_retries: u32,
+        make_ops: impl FnMut(u64) -> Vec<MetaOp>,
+    ) -> Result<u64> {
+        self.commit_from(None, max_retries, make_ops)
+    }
+
+    /// [`MetaTable::commit_with`] for a caller whose scan already told it
+    /// the next version ([`MetaTable::scan_for_commit`]): the first attempt
+    /// goes to `planned` without a LIST; a lost race falls back to LIST and
+    /// retry. `planned` must come from such a scan or a commit of this
+    /// caller's — a made-up version could leave a hole in the dense log.
+    pub(crate) fn commit_from(
+        &self,
+        mut planned: Option<u64>,
+        max_retries: u32,
         mut make_ops: impl FnMut(u64) -> Vec<MetaOp>,
     ) -> Result<u64> {
         let log = self.log();
         for _ in 0..=max_retries {
-            let version = log
-                .latest_version()
-                .map_err(RottnestError::Lake)?
-                .map_or(0, |v| v + 1);
+            let version = match planned.take() {
+                Some(version) => version,
+                None => log
+                    .latest_version()
+                    .map_err(RottnestError::Lake)?
+                    .map_or(0, |v| v + 1),
+            };
             let ops = make_ops(version);
             let mut payload = Vec::new();
             for op in &ops {
@@ -464,6 +493,44 @@ mod tests {
         // Ids are unique.
         let ids: std::collections::BTreeSet<u64> = entries.iter().map(|e| e.id).collect();
         assert_eq!(ids.len(), 6);
+    }
+
+    /// Another writer commits between a maintenance operation's scan and
+    /// its commit: the planned version is taken, so the commit falls back
+    /// to LIST-and-retry and both records land, at distinct dense versions.
+    #[test]
+    fn planned_commit_survives_a_racing_committer() {
+        let store = MemoryStore::unmetered();
+        let meta = MetaTable::new(store.as_ref(), "idx");
+        let add = |path: &'static str| {
+            move |v| {
+                vec![MetaOp::Add(Box::new(entry(
+                    MetaTable::id_for(v, 0),
+                    path,
+                    &["t/a"],
+                )))]
+            }
+        };
+        // Uncontended: an empty log commits at version 0 without a LIST.
+        let (entries, next) = meta.scan_for_commit().unwrap();
+        assert!(entries.is_empty());
+        let before = store.stats();
+        assert_eq!(meta.commit_from(Some(next), 4, add("first")).unwrap(), 0);
+        assert_eq!(store.stats().since(&before).lists, 0);
+
+        let (_, next) = meta.scan_for_commit().unwrap();
+        assert_eq!(next, 1);
+        assert_eq!(meta.commit_with(4, add("racer")).unwrap(), 1);
+        assert_eq!(meta.commit_from(Some(next), 4, add("planned")).unwrap(), 2);
+
+        let (entries, next) = meta.scan_for_commit().unwrap();
+        assert_eq!(next, 3);
+        let got: Vec<(u64, &str)> = entries.iter().map(|e| (e.id, e.path.as_str())).collect();
+        let id = |v| MetaTable::id_for(v, 0);
+        assert_eq!(
+            got,
+            [(id(0), "first"), (id(1), "racer"), (id(2), "planned")]
+        );
     }
 
     #[test]

@@ -158,6 +158,9 @@ pub(crate) struct Search<'s> {
     pub session: Option<&'s PageCacheSession>,
     /// Absolute deadline on the store clock, if any.
     pub deadline_ms: Option<u64>,
+    /// `Some(v)`: the plan came from the plan cache, replayed at metadata
+    /// log version `v`, and `probe_selected` still owes the freshness probe.
+    pub unverified: Option<u64>,
 }
 
 /// A Rottnest index client bound to an `index_dir` on an object store.
@@ -169,9 +172,9 @@ pub struct Rottnest<'a> {
     pub(crate) index_dir: String,
     config: RottnestConfig,
     /// Metadata record set memoized per log version. Revalidation is one
-    /// LIST (`MetaTable::listing`); any index/compact/vacuum commit — from any
-    /// process — bumps the version, so a version match proves the cached
-    /// plan is current.
+    /// HEAD (`MetaTable::moved_past`): any index/compact/vacuum commit — from
+    /// any process — creates the next version's object, so its absence
+    /// proves the cached plan current. This client's own commits drop it.
     pub(crate) plan_cache: Mutex<Option<(u64, Arc<Vec<IndexEntry>>)>>,
     /// EWMA of per-entry index-probe duration (store-clock ms), fed by
     /// unhedged probes and read by the hedge trigger: a probe hedges when
@@ -315,15 +318,14 @@ impl<'a> Rottnest<'a> {
             query,
             session: session.as_ref(),
             deadline_ms,
+            unverified: None,
         };
         self.run(&cx).map_err(map_health_error)
     }
 
-    fn run(&self, cx: &Search<'_>) -> Result<SearchOutcome> {
-        self.check_deadline(cx.deadline_ms)?;
-        // Component- and page-cache accounting is kept on the store; the
-        // delta over this search becomes the outcome's cache_* stats.
-        let store_before = self.store().stats();
+    /// Plans — off the plan cache if `use_cache` — and runs the query's
+    /// pipeline. `None`: the cached plan turned out stale.
+    fn attempt(&self, cx: &Search<'_>, use_cache: bool) -> Result<Option<SearchOutcome>> {
         // Brownout (tentpole of the store-health layer): when the circuit
         // breaker for the index domain is open, planning and probing the
         // index would only be rejected at admission — skip both and treat
@@ -333,10 +335,11 @@ impl<'a> Rottnest<'a> {
         // Half-open is NOT brownout: probes flow through store-level
         // admission, which bounds them, and a rejected probe degrades per
         // entry in `probe_selected`.
+        let kind = family::kind_of(cx.query);
         let plan = if self.in_brownout() {
             None
         } else {
-            match self.plan_search(cx.snapshot, &family::kind_of(cx.query), cx.column) {
+            match self.plan_search(cx.snapshot, &kind, cx.column, use_cache) {
                 Ok(plan) => Some(plan),
                 // The index *metadata* itself is unreachable (mid-outage,
                 // before the breaker trips, or a rejected half-open
@@ -348,8 +351,9 @@ impl<'a> Rottnest<'a> {
             }
         };
         let brownout = plan.is_none();
-        let (selected, uncovered) =
-            plan.unwrap_or_else(|| (Vec::new(), cx.snapshot.files().cloned().collect()));
+        let (selected, uncovered, unverified) =
+            plan.unwrap_or_else(|| (Vec::new(), cx.snapshot.files().cloned().collect(), None));
+        let cx = &Search { unverified, ..*cx };
         let stats = SearchStats {
             index_files_queried: selected.len() as u64,
             brownout_queries: u64::from(brownout),
@@ -359,7 +363,7 @@ impl<'a> Rottnest<'a> {
         // One pipeline per query class. Exact probes get a negative-scan-
         // cache fingerprint; scoring queries must rank every row, so they
         // never consult that cache.
-        let mut outcome = match *cx.query {
+        match *cx.query {
             Query::UuidEq { key, k } => {
                 let exact = ExactQuery {
                     k,
@@ -382,7 +386,21 @@ impl<'a> Rottnest<'a> {
                 query: qvec,
                 params,
             } => self.vector_search(cx, qvec, params, &selected, uncovered, stats),
-        }?;
+        }
+    }
+
+    fn run(&self, cx: &Search<'_>) -> Result<SearchOutcome> {
+        self.check_deadline(cx.deadline_ms)?;
+        // Component- and page-cache accounting is kept on the store; the
+        // delta over this search becomes the outcome's cache_* stats.
+        let store_before = self.store().stats();
+        // A cached plan is used while its freshness probe rides the index
+        // wave; found stale, that wave is thrown away and the pipeline runs
+        // once more on a plan replayed from a LIST, current by construction.
+        let mut outcome = match self.attempt(cx, true)? {
+            Some(outcome) => outcome,
+            None => (self.attempt(cx, false)?).expect("a plan off a LIST needs no freshness probe"),
+        };
         let delta = self.store().stats().since(&store_before);
         outcome.stats.cache_hits = delta.cache_hits;
         outcome.stats.cache_misses = delta.cache_misses;

@@ -15,7 +15,8 @@ use crate::rottnest::{Rottnest, Search};
 use crate::{Result, RottnestError};
 
 impl Rottnest<'_> {
-    /// Runs a nearest-neighbour query over the plan.
+    /// Runs a nearest-neighbour query over the plan. `None`: the cached plan
+    /// was stale (see [`Rottnest::probe_selected`]).
     pub(crate) fn vector_search(
         &self,
         cx: &Search<'_>,
@@ -24,7 +25,7 @@ impl Rottnest<'_> {
         selected: &[IndexEntry],
         mut uncovered: Vec<FileEntry>,
         mut stats: SearchStats,
-    ) -> Result<SearchOutcome> {
+    ) -> Result<Option<SearchOutcome>> {
         let dim = qvec.len() as u32;
         let parallelism = self.config().search.parallelism;
         // Each entry probes into its own results + stats; they are absorbed
@@ -34,6 +35,9 @@ impl Rottnest<'_> {
             self.probe_selected(cx, selected, &mut uncovered, &mut stats, |store, entry| {
                 self.vector_entry_pass(store, cx, entry, qvec, params)
             })?;
+        let Some(passes) = passes else {
+            return Ok(None);
+        };
         let mut results: Vec<Match> = Vec::new();
         for (_, (matches, entry_stats)) in passes {
             results.extend(matches);
@@ -101,10 +105,10 @@ impl Rottnest<'_> {
         });
         results.dedup_by(|a, b| a.path == b.path && a.row == b.row);
         results.truncate(params.k);
-        Ok(SearchOutcome {
+        Ok(Some(SearchOutcome {
             matches: results,
             stats,
-        })
+        }))
     }
 
     /// One index entry's contribution to a vector search: ADC pass, stale

@@ -5,6 +5,12 @@
 //! is all the atomicity the lake (and Rottnest's metadata table) needs —
 //! no atomic rename, matching the paper's compatibility goal (§IV, §IV-D).
 //!
+//! Invariant: commit objects are **dense** (version `v` is written only at
+//! `latest + 1`), created with `put_if_absent`, and **never deleted** —
+//! checkpoints add `.ckpt` objects beside them and remove nothing. So the
+//! log has moved past `v` exactly when `_log/{v+1}.log` exists, which
+//! [`TxLog::moved_past`] asks with one HEAD instead of a LIST.
+//!
 //! [`TxLog`] is payload-agnostic: the lake stores [`crate::Action`] lists
 //! and Rottnest's metadata table stores its own record type on the same
 //! machinery ("the Rottnest metadata table ... is implemented as a Delta
@@ -90,14 +96,29 @@ impl<'a> TxLog<'a> {
         Ok(self.listing()?.latest_version())
     }
 
+    /// One HEAD of commit `version`'s object. Only the store's `NotFound`
+    /// means "no such commit"; a throttled, rejected, cancelled or expired
+    /// HEAD says nothing about the log and surfaces as the store error.
+    fn head_commit(&self, version: u64) -> Result<Option<ObjectMeta>> {
+        match self.store.head(&self.key_of(version)) {
+            Ok(meta) => Ok(Some(meta)),
+            Err(StoreError::NotFound(_)) => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Whether a commit after `version` exists — one HEAD, no LIST (see the
+    /// module docs for the invariant this rests on).
+    pub fn moved_past(&self, version: u64) -> Result<bool> {
+        Ok(self.head_commit(version + 1)?.is_some())
+    }
+
     /// Reads the entry at `version`.
     pub fn read(&self, version: u64) -> Result<LogEntry> {
-        let key = self.key_of(version);
         let meta = self
-            .store
-            .head(&key)
-            .map_err(|_| LakeError::NoSuchVersion(version))?;
-        let payload = self.store.get(&key)?;
+            .head_commit(version)?
+            .ok_or(LakeError::NoSuchVersion(version))?;
+        let payload = self.store.get(&self.key_of(version))?;
         Ok(LogEntry {
             version,
             payload,
@@ -268,6 +289,70 @@ mod tests {
         assert_eq!(log.read(0).unwrap().payload.as_ref(), b"a");
         assert_eq!(log.read(1).unwrap().payload.as_ref(), b"b");
         assert!(matches!(log.read(2), Err(LakeError::NoSuchVersion(2))));
+    }
+
+    #[test]
+    fn moved_past_is_one_head_of_the_next_version() {
+        let store = MemoryStore::unmetered();
+        let log = TxLog::new(store.as_ref(), "tbl");
+        log.commit(Bytes::from_static(b"a"), 0).unwrap();
+        log.commit(Bytes::from_static(b"b"), 0).unwrap();
+        let before = store.stats();
+        assert!(log.moved_past(0).unwrap());
+        assert!(!log.moved_past(1).unwrap());
+        let delta = store.stats().since(&before);
+        assert_eq!((delta.heads, delta.lists, delta.gets), (2, 0, 0));
+    }
+
+    /// A HEAD that failed says nothing about the log: neither "no such
+    /// commit" nor "nothing newer".
+    #[test]
+    fn store_faults_are_not_read_as_a_missing_commit() {
+        let store = MemoryStore::unmetered();
+        let log = TxLog::new(store.as_ref(), "tbl");
+        log.commit(Bytes::from_static(b"a"), 0).unwrap();
+        store
+            .faults()
+            .schedule_outage(rottnest_object_store::OutageWindow::domain(
+                "tbl/_log/",
+                0,
+                u64::MAX,
+            ));
+        let transient = |e: &LakeError| matches!(e, LakeError::Store(e) if e.is_retryable());
+        for version in [0, 1] {
+            let err = log.read(version).unwrap_err();
+            assert!(transient(&err), "read({version}): {err:?}");
+            let err = log.moved_past(version).unwrap_err();
+            assert!(transient(&err), "moved_past({version}): {err:?}");
+        }
+        store.faults().clear_outages();
+        assert!(matches!(log.read(1), Err(LakeError::NoSuchVersion(1))));
+        assert!(!log.moved_past(0).unwrap());
+    }
+
+    /// The invariant `moved_past` rests on: a checkpoint adds one object
+    /// and removes none, so commit objects stay dense.
+    #[test]
+    fn checkpoint_leaves_every_commit_object_in_place() {
+        let store = MemoryStore::unmetered();
+        let log = TxLog::new(store.as_ref(), "tbl");
+        for i in 0u8..6 {
+            log.commit(Bytes::from(vec![i]), 0).unwrap();
+        }
+        let keys = |store: &MemoryStore| -> Vec<String> {
+            let metas = store.list("tbl/_log/").unwrap();
+            metas.into_iter().map(|m| m.key).collect()
+        };
+        let before = keys(&store);
+        log.write_checkpoint(3).unwrap();
+        log.write_checkpoint(5).unwrap();
+        let after = keys(&store);
+        assert_eq!(after.len(), before.len() + 2);
+        assert!(before.iter().all(|key| after.contains(key)));
+        for v in 0..5 {
+            assert!(log.moved_past(v).unwrap());
+        }
+        assert!(!log.moved_past(5).unwrap());
     }
 
     #[test]

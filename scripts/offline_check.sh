@@ -12,10 +12,12 @@
 # and closes by building the benchmark harness, which may not change with the
 # library: an API break against it fails here, not in the bench job.
 #
-# Usage: scripts/offline_check.sh <crate|tests-file>...
+# Usage: scripts/offline_check.sh <crate|tests-file|all>...
 #   crate        a directory under crates/ (fm, format, object-store, ...):
 #                its unit tests and its own tests/*.rs
 #   tests-file   tests/tests/NAME.rs, or just NAME: that integration test
+#   all          every directory under crates/ and every tests/tests/*.rs
+#                (tier-1 as far as this image can run it)
 #
 # `proptest!` blocks compile to nothing here (an inert stand-in generated
 # below), so property tests are skipped — said once per crate; such a crate's
@@ -32,9 +34,20 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 work="${OFFLINE_CHECK_DIR:-${TMPDIR:-/tmp}/rottnest-offline-check}"
 
 if [ "$#" -eq 0 ]; then
-  echo "usage: scripts/offline_check.sh <crate|tests-file>..." >&2
+  echo "usage: scripts/offline_check.sh <crate|tests-file|all>..." >&2
   exit 2
 fi
+
+args=()
+for arg in "$@"; do
+  if [ "$arg" = all ]; then
+    for path in "$root"/crates/*/ "$root"/tests/tests/*.rs; do
+      args+=("$(basename "$path" .rs)")
+    done
+  else
+    args+=("$arg")
+  fi
+done
 
 # Directory under crates/ of a workspace package (`rottnest` lives in core).
 crate_dir_of() {
@@ -104,7 +117,7 @@ members=()
 lint_all_targets=()
 lint_lib_only=()
 test_files=()
-for arg in "$@"; do
+for arg in "${args[@]}"; do
   name="$(basename "$arg" .rs)"
   if [ -d "$root/crates/$arg" ]; then
     if [ "$arg" = bench ]; then

@@ -15,13 +15,14 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use rottnest::{IndexKind, Query, Rottnest, RottnestConfig};
+use rottnest::{IndexKind, Query, Rottnest, RottnestConfig, SearchOutcome, SearchStats};
 use rottnest_component::ComponentCache;
 use rottnest_fm::FmIndex;
 use rottnest_format::{DataType, PageCache, PageCacheSession, PageReader, PageTable};
 use rottnest_integration::*;
+use rottnest_lake::{Snapshot, Table};
 use rottnest_object_store::{
-    MemoryStore, ObjectMeta, ObjectStore, RangeRequest, SimClock, StatsSnapshot,
+    MemoryStore, ObjectMeta, ObjectStore, RangeRequest, SimClock, StatsSnapshot, StoreError,
 };
 
 /// One request as the store saw it.
@@ -39,6 +40,8 @@ enum Event {
 struct Ledger {
     inner: Arc<MemoryStore>,
     events: Mutex<Vec<Event>>,
+    /// HEADs of keys containing this fail with a transient error.
+    failing_heads: Mutex<Option<&'static str>>,
 }
 
 impl Ledger {
@@ -46,6 +49,7 @@ impl Ledger {
         Self {
             inner: MemoryStore::new(),
             events: Mutex::default(),
+            failing_heads: Mutex::default(),
         }
     }
     fn log(&self, e: Event) {
@@ -82,6 +86,9 @@ impl ObjectStore for Ledger {
     }
     fn head(&self, key: &str) -> rottnest_object_store::Result<ObjectMeta> {
         self.log(Event::Head(key.to_string()));
+        if (self.failing_heads.lock().unwrap()).is_some_and(|part| key.contains(part)) {
+            return Err(StoreError::Transient("ledger: head failed"));
+        }
         self.inner.head(key)
     }
     fn list(&self, prefix: &str) -> rottnest_object_store::Result<Vec<ObjectMeta>> {
@@ -132,6 +139,7 @@ impl ObjectStore for Ledger {
 
 const FILES: usize = 12;
 const DATA_PREFIX: &str = "tbl/data/";
+const META_LOG: &str = "idx/meta/_log/";
 const PATTERN: &[u8] = b"status S001";
 
 /// Small FM blocks, so the index outgrows the speculative head GET and a
@@ -143,15 +151,25 @@ fn config(lanes: usize) -> RottnestConfig {
     cfg
 }
 
-/// Keys of the data files HEADed, in request order.
-fn data_heads(events: &[Event]) -> Vec<&str> {
+/// Key of commit `version` in the metadata table's log.
+fn log_key(version: u64) -> String {
+    format!("{META_LOG}{version:020}.log")
+}
+
+/// Keys under `prefix` that were HEADed, in request order.
+fn heads_under<'e>(events: &'e [Event], prefix: &str) -> Vec<&'e str> {
     events
         .iter()
         .filter_map(|e| match e {
-            Event::Head(key) if key.starts_with(DATA_PREFIX) => Some(key.as_str()),
+            Event::Head(key) if key.starts_with(prefix) => Some(key.as_str()),
             _ => None,
         })
         .collect()
+}
+
+/// Keys of the data files HEADed, in request order.
+fn data_heads(events: &[Event]) -> Vec<&str> {
+    heads_under(events, DATA_PREFIX)
 }
 
 fn distinct<T: Ord + Clone>(items: &[T]) -> usize {
@@ -279,7 +297,7 @@ fn request_depth_by_query_kind() {
             // Cold: LIST → log replay → index open → index-internal rounds
             // → one HEAD wave → one page batch; nothing else, and elapsed
             // time is exactly that chain.
-            assert_eq!(cold[0], Event::List("idx/meta/_log/".into()), "{ctx}");
+            assert_eq!(cold[0], Event::List(META_LOG.into()), "{ctx}");
             assert!(
                 matches!(&cold[1], Event::Batch(logs) if logs.len() == 3),
                 "{ctx}: the log replays in one batch: {:?}",
@@ -309,14 +327,16 @@ fn request_depth_by_query_kind() {
             assert_eq!(head_count(&cold), heads.len(), "{ctx}: no other HEAD");
             assert_eq!(cold_us, depth_us(&store, &cold, lanes), "{ctx}: cold depth");
 
-            // Warm: LIST (plan revalidation) + index HEAD + the HEAD wave,
-            // and not a single GET.
-            assert_eq!(warm[0], Event::List("idx/meta/_log/".into()), "{ctx}");
+            // Warm: the freshness HEAD (three index commits: is there a
+            // version 3?) beside the index HEAD, then the HEAD wave — no
+            // LIST and not a single GET.
+            assert_eq!(warm[0], Event::Head(log_key(3)), "{ctx}");
             assert!(
                 matches!(&warm[1], Event::Head(k) if k.starts_with("idx/files/")),
                 "{ctx}: {:?}",
                 warm[1]
             );
+            assert_eq!(list_count(&warm), 0, "{ctx}: warm LISTs");
             assert_eq!(get_rounds(&warm), 0, "{ctx}: warm GETs");
             // (Pool workers log a wave's HEADs in any order.)
             let sorted = |mut keys: Vec<&str>| {
@@ -329,11 +349,17 @@ fn request_depth_by_query_kind() {
                 "{ctx}: same wave"
             );
             assert_eq!(warm.len(), 2 + heads.len(), "{ctx}: {warm:?}");
-            let model = store.inner.latency_model();
+            // The freshness HEAD overlaps the index HEAD whenever there is a
+            // second lane to put it on.
+            let rounds = if lanes == 1 {
+                2 + heads.len()
+            } else {
+                1 + heads.len().div_ceil(lanes)
+            };
             assert_eq!(
                 warm_us,
-                model.list_us(0) + (1 + heads.len().div_ceil(lanes)) as u64 * model.small_op_us,
-                "{ctx}: warm = LIST + index HEAD + ceil(files / lanes) HEAD rounds"
+                rounds as u64 * store.inner.latency_model().small_op_us,
+                "{ctx}: warm = (freshness ‖ index) HEAD + ceil(files / lanes) HEAD rounds"
             );
 
             match query {
@@ -428,4 +454,251 @@ fn shared_session_heads_each_file_once_across_threads() {
     let heads = data_heads(&events);
     assert_eq!(heads.len(), FILES, "{heads:?}");
     assert_eq!(distinct(&heads), FILES);
+}
+
+const UUID: IndexKind = IndexKind::Uuid { key_len: 16 };
+
+fn uuid_search(rot: &Rottnest<'_>, table: &Table<'_>, snap: &Snapshot, row: u64) -> SearchOutcome {
+    let key = trace_id(row);
+    rot.search(table, snap, "trace_id", &Query::UuidEq { key: &key, k: 1 })
+        .unwrap()
+}
+
+/// What the protocol decided, without the counters that depend on what
+/// earlier queries left in the process-wide caches.
+fn protocol_stats(stats: SearchStats) -> SearchStats {
+    SearchStats {
+        cache_hits: 0,
+        cache_misses: 0,
+        cache_bytes_saved: 0,
+        page_cache_hits: 0,
+        page_cache_misses: 0,
+        page_cache_bytes_saved: 0,
+        dedup_hits: 0,
+        ..stats
+    }
+}
+
+fn meta_lists(events: &[Event]) -> usize {
+    count(events, |e| *e == Event::List(META_LOG.into()))
+}
+
+fn meta_heads(events: &[Event]) -> Vec<&str> {
+    heads_under(events, META_LOG)
+}
+
+/// `reader` holds a warm plan and another client has just committed: the
+/// search's freshness probe finds `moved_to`, so it re-plans from exactly
+/// one LIST and one replay batch, and answers what a fresh client answers.
+fn assert_read_after_write(
+    store: &Ledger,
+    reader: &Rottnest<'_>,
+    table: &Table<'_>,
+    snap: &Snapshot,
+    row: u64,
+    moved_to: u64,
+) {
+    store.take();
+    let seen = uuid_search(reader, table, snap, row);
+    let events = store.take();
+    assert_eq!(meta_heads(&events), [log_key(moved_to)], "{events:?}");
+    assert_eq!(list_count(&events), 1, "{events:?}");
+    let replays = count(
+        &events,
+        |e| matches!(e, Event::Batch(gets) if gets.iter().all(|(k, _)| k.starts_with(META_LOG))),
+    );
+    assert_eq!(replays, 1, "{events:?}");
+    assert_eq!(seen.matches.len(), 1);
+
+    let fresh = uuid_search(&Rottnest::new(store, "idx", config(8)), table, snap, row);
+    assert_eq!(seen.matches, fresh.matches);
+    assert_eq!(protocol_stats(seen.stats), protocol_stats(fresh.stats));
+
+    // And the re-cached plan is current again: no LIST.
+    store.take();
+    assert_eq!(uuid_search(reader, table, snap, row).matches, fresh.matches);
+    assert_eq!(list_count(&store.take()), 0);
+}
+
+/// Read-after-write across clients: whatever another client commits between
+/// two warm searches — index, compact, vacuum — the second search sees.
+#[test]
+fn warm_search_sees_another_clients_commit() {
+    let store = Ledger::new();
+    let table = make_table(&store, 4_000, 4);
+    let reader = Rottnest::new(&store, "idx", config(8));
+    let writer = Rottnest::new(&store, "idx", config(8));
+    writer.index(&table, UUID, "trace_id").unwrap().unwrap();
+    table.append(&batch(4_000..5_000)).unwrap();
+    writer.index(&table, UUID, "trace_id").unwrap().unwrap();
+    let snap = table.snapshot().unwrap();
+    let cold = uuid_search(&reader, &table, &snap, 777);
+    assert_eq!(cold.stats.index_files_queried, 2);
+
+    // index: row 5 500 lives in a file only the new index covers, so the
+    // stale plan would have brute-scanned for it.
+    table.append(&batch(5_000..6_000)).unwrap();
+    let snap = table.snapshot().unwrap();
+    writer.index(&table, UUID, "trace_id").unwrap().unwrap();
+    assert_read_after_write(&store, &reader, &table, &snap, 5_500, 2);
+    let seen = uuid_search(&reader, &table, &snap, 5_500);
+    assert_eq!(seen.stats.index_files_queried, 3);
+    assert_eq!(seen.stats.files_brute_scanned, 0);
+
+    // compact: three index files become one.
+    assert_eq!(writer.compact(UUID, "trace_id").unwrap().len(), 1);
+    assert_read_after_write(&store, &reader, &table, &snap, 777, 3);
+    assert_eq!(
+        uuid_search(&reader, &table, &snap, 777)
+            .stats
+            .index_files_queried,
+        1
+    );
+
+    // vacuum: the lake rewrites every data file into one, so the merged
+    // index covers nothing live and vacuum commits its removal.
+    table.compact(u64::MAX).unwrap().unwrap();
+    let snap = table.snapshot().unwrap();
+    let report = writer.vacuum(&table).unwrap();
+    assert_eq!(report.records_removed, 1);
+    assert_read_after_write(&store, &reader, &table, &snap, 777, 4);
+    let seen = uuid_search(&reader, &table, &snap, 777);
+    assert_eq!(seen.stats.index_files_queried, 0);
+    assert_eq!(seen.stats.files_brute_scanned, 1);
+}
+
+/// The stale plan names index files another client's vacuum has already
+/// deleted: the wave that met them is thrown away, not surfaced.
+#[test]
+fn stale_plan_over_vacuumed_index_files_still_answers() {
+    let store = Ledger::new();
+    let table = make_table(&store, 2_000, 2);
+    let reader = Rottnest::new(&store, "idx", config(8));
+    let writer = Rottnest::new(&store, "idx", config(8));
+    let first = writer.index(&table, UUID, "trace_id").unwrap().unwrap();
+    table.append(&batch(2_000..3_000)).unwrap();
+    let second = writer.index(&table, UUID, "trace_id").unwrap().unwrap();
+    let snap = table.snapshot().unwrap();
+    let before = uuid_search(&reader, &table, &snap, 2_500);
+    assert_eq!(before.stats.index_files_queried, 2);
+
+    writer.compact(UUID, "trace_id").unwrap();
+    // A vacuum entitled to delete at once (anything a millisecond old).
+    let mut eager = config(8);
+    eager.index_timeout_ms = 1;
+    let report = Rottnest::new(&store, "idx", eager).vacuum(&table).unwrap();
+    assert_eq!(report.objects_deleted, 2);
+
+    store.take();
+    let after = uuid_search(&reader, &table, &snap, 2_500);
+    let events = store.take();
+    let gone = |key: &str| key == first.path || key == second.path;
+    assert!(
+        events.iter().any(|e| match e {
+            Event::Head(k) | Event::Get(k, _) => gone(k),
+            _ => false,
+        }),
+        "the stale wave met a deleted index file: {events:?}"
+    );
+    assert_eq!(list_count(&events), 1, "{events:?}");
+    assert_eq!(after.matches, before.matches);
+    assert_eq!(after.stats.index_files_queried, 1);
+    assert_eq!(after.stats.index_files_failed, 0);
+}
+
+/// A freshness HEAD that still fails after the retry budget says nothing
+/// about the log: the query degrades to the brute path, as a failed LIST
+/// makes it, and is never answered off the unconfirmed plan.
+#[test]
+fn failed_freshness_probe_degrades_to_the_brute_path() {
+    let store = Ledger::new();
+    let table = make_table(&store, 2_000, 2);
+    let rot = Rottnest::new(&store, "idx", config(8));
+    rot.index(&table, UUID, "trace_id").unwrap().unwrap();
+    let snap = table.snapshot().unwrap();
+    uuid_search(&rot, &table, &snap, 1_500);
+    let warm = uuid_search(&rot, &table, &snap, 1_500);
+    assert_eq!(warm.stats.index_files_queried, 1);
+    assert_eq!(warm.stats.brownout_queries, 0);
+
+    *store.failing_heads.lock().unwrap() = Some("idx/meta/_log/");
+    store.take();
+    let degraded = uuid_search(&rot, &table, &snap, 1_500);
+    let events = store.take();
+    assert!(meta_heads(&events).len() > 1, "retried: {events:?}");
+    assert_eq!(degraded.matches, warm.matches);
+    assert_eq!(degraded.stats.brownout_queries, 1);
+    assert_eq!(degraded.stats.index_files_queried, 0);
+    assert_eq!(degraded.stats.postings_returned, 0);
+    assert_eq!(degraded.stats.files_brute_scanned, 2);
+
+    // The fault lifted, the same cached plan is confirmed and used again.
+    *store.failing_heads.lock().unwrap() = None;
+    let healed = uuid_search(&rot, &table, &snap, 1_500);
+    assert_eq!(healed.stats, warm.stats);
+}
+
+/// A client that commits knows it moved the log: its next search goes
+/// straight to the LIST instead of HEAD-then-LIST.
+#[test]
+fn own_commit_skips_the_freshness_probe() {
+    let store = Ledger::new();
+    let table = make_table(&store, 2_000, 2);
+    let rot = Rottnest::new(&store, "idx", config(8));
+    rot.index(&table, UUID, "trace_id").unwrap().unwrap();
+    let snap = table.snapshot().unwrap();
+    uuid_search(&rot, &table, &snap, 1_500);
+    store.take();
+    uuid_search(&rot, &table, &snap, 1_500);
+    assert_eq!(meta_heads(&store.take()), [log_key(1)], "a plan is cached");
+
+    table.append(&batch(2_000..3_000)).unwrap();
+    let snap = table.snapshot().unwrap();
+    rot.index(&table, UUID, "trace_id").unwrap().unwrap();
+    store.take();
+    let out = uuid_search(&rot, &table, &snap, 2_500);
+    let events = store.take();
+    assert_eq!(out.stats.index_files_queried, 2);
+    assert_eq!(list_count(&events), 1, "{events:?}");
+    assert_eq!(meta_lists(&events), 1, "{events:?}");
+    assert!(meta_heads(&events).is_empty(), "{events:?}");
+}
+
+/// A maintenance operation LISTs the metadata log once — for its scan — and
+/// commits where that scan (or its own previous commit) left the log.
+#[test]
+fn maintenance_commits_without_a_second_list() {
+    let store = Ledger::new();
+    let table = make_table(&store, 1_000, 1);
+    let mut cfg = config(8);
+    cfg.compact_fanin = 2;
+    let rot = Rottnest::new(&store, "idx", cfg);
+    for i in 0..4 {
+        if i > 0 {
+            table.append(&batch(i * 1_000..(i + 1) * 1_000)).unwrap();
+        }
+        store.take();
+        let entry = rot.index(&table, UUID, "trace_id").unwrap().unwrap();
+        assert_eq!(meta_lists(&store.take()), 1, "index() #{i}");
+        // An empty log commits at version 0, then one version per commit.
+        assert_eq!(entry.id, rottnest::MetaTable::id_for(i, 0));
+        assert_eq!(rot.meta().latest_version().unwrap(), Some(i));
+    }
+
+    // Four entries, fan-in two: two bins, two commits, still one LIST.
+    store.take();
+    let merged = rot.compact(UUID, "trace_id").unwrap();
+    assert_eq!(meta_lists(&store.take()), 1, "compact()");
+    let ids: Vec<u64> = merged.iter().map(|e| e.id).collect();
+    let id_for = rottnest::MetaTable::id_for;
+    assert_eq!(ids, [id_for(4, 0), id_for(5, 0)]);
+    assert_eq!(rot.meta().latest_version().unwrap(), Some(5));
+
+    // Vacuum's removal commit rides its scan's LIST too; its second LIST is
+    // the re-scan that decides what is still referenced.
+    table.compact(u64::MAX).unwrap().unwrap();
+    store.take();
+    assert_eq!(rot.vacuum(&table).unwrap().records_removed, 2);
+    assert_eq!(meta_lists(&store.take()), 2, "vacuum()");
+    assert_eq!(rot.meta().latest_version().unwrap(), Some(6));
 }

@@ -7,7 +7,9 @@
 //! * the plain `search` entry point honors `SearchConfig::timeout_ms`;
 //! * a budget that runs out inside the page-cache revalidation wave — whose
 //!   HEADs may run on pool workers — still fails typed, with nothing
-//!   partial returned and nothing poisoned.
+//!   partial returned and nothing poisoned;
+//! * likewise a budget that runs out inside the speculative wave of a warm
+//!   search — the plan-freshness HEAD beside the index probes it overlaps.
 //!
 //! The metered `MemoryStore` drives a deterministic virtual clock (a GET
 //! costs ~30 virtual ms), so "the deadline passes during the scan" is a
@@ -153,13 +155,17 @@ fn plain_search_honors_configured_timeout() {
 
 /// A backoff no budget in these tests can fit: a failed request must give
 /// up typed rather than wait.
-fn impatient_table_config() -> rottnest_lake::TableConfig {
-    let mut cfg = small_pages();
-    cfg.retry = RetryPolicy {
+fn impatient_retry() -> RetryPolicy {
+    RetryPolicy {
         base_backoff_ms: 10_000_000,
         max_backoff_ms: 10_000_000,
         ..RetryPolicy::default()
-    };
+    }
+}
+
+fn impatient_table_config() -> rottnest_lake::TableConfig {
+    let mut cfg = small_pages();
+    cfg.retry = impatient_retry();
     cfg
 }
 
@@ -226,6 +232,69 @@ fn budget_expiring_during_revalidation_is_typed_at_any_parallelism() {
             "abort poisoned a cache"
         );
         assert_eq!(after.matches.len(), 11, "status S001 in rows 1 + 37i < 400");
+        assert_eq!(after.stats.files_brute_scanned, 0, "served by the index");
+    }
+}
+
+/// The warm path's first wave is speculative: the freshness HEAD of the
+/// metadata log rides beside the index probes. With five units it runs on
+/// pool workers at parallelism 8, which must each see the caller's
+/// deadline: a failed unit gives up typed instead of sleeping a backoff the
+/// budget cannot fit, and the unconfirmed wave answers nothing.
+#[test]
+fn budget_expiring_during_the_speculative_wave_is_typed_at_any_parallelism() {
+    for parallelism in [1, 8] {
+        let mut cfg = rot_config();
+        cfg.search.parallelism = parallelism;
+        cfg.retry = impatient_retry();
+        let store = MemoryStore::new();
+        let table = make_table(store.as_ref(), 100, 1);
+        let rot = Rottnest::new(store.as_ref(), "idx", cfg);
+        for i in 1..=4 {
+            if i > 1 {
+                table.append(&batch((i - 1) * 100..i * 100)).unwrap();
+            }
+            rot.index(&table, IndexKind::Substring, "body")
+                .unwrap()
+                .unwrap();
+        }
+        let snap = table.snapshot().unwrap();
+        let cold = rot.search(&table, &snap, "body", &query()).unwrap();
+        let warm = rot.search(&table, &snap, "body", &query()).unwrap();
+        assert_eq!(warm.stats.index_files_queried, 4);
+        assert_eq!(norm(&snap, &cold), norm(&snap, &warm));
+
+        let now = store.now_ms();
+        let deadline = now + 10_000;
+        store
+            .faults()
+            .schedule_outage(OutageWindow::domain("idx/", now, u64::MAX));
+        let before = store.stats();
+        let err = rot
+            .search_with_deadline(&table, &snap, "body", &query(), Some(deadline))
+            .unwrap_err();
+        assert!(
+            matches!(err, RottnestError::DeadlineExceeded { deadline_ms, .. } if deadline_ms == deadline),
+            "parallelism {parallelism}: expected DeadlineExceeded, got {err:?}"
+        );
+        let delta = store.stats().since(&before);
+        assert_eq!(
+            delta.lists, 0,
+            "the wave is the first thing a warm search does"
+        );
+        assert!(
+            store.now_ms() < deadline,
+            "no unit of the wave may sleep through the budget"
+        );
+
+        // Outage over: a fresh client (the old one's breaker saw the
+        // failures) answers exactly what the warm search did.
+        store.faults().clear_outages();
+        let mut cfg = rot_config();
+        cfg.search.parallelism = parallelism;
+        let rot = Rottnest::new(store.as_ref(), "idx", cfg);
+        let after = rot.search(&table, &snap, "body", &query()).unwrap();
+        assert_eq!(norm(&snap, &after), norm(&snap, &warm));
         assert_eq!(after.stats.files_brute_scanned, 0, "served by the index");
     }
 }
